@@ -62,31 +62,46 @@ pub struct ReturnScreen {
 }
 
 impl ReturnScreen {
-    /// Robust z-scores of a device in the selected subspace, given the
-    /// population's per-test medians and MADs.
-    fn project(&self, device: &Device, center: &[f64], spread: &[f64]) -> Vec<f64> {
-        self.selected_tests
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| (device.measurements[t] - center[k]) / spread[k].max(1e-12))
-            .collect()
+    /// The robust statistics of a reference population in this screen's
+    /// test subspace. Build it once per population, then score any
+    /// number of devices against it with [`ReturnScreen::score_against`].
+    pub fn reference(&self, population: &[&Device]) -> RobustReference {
+        RobustReference::of(population, &self.selected_tests)
+    }
+
+    /// Outlier score of a device against a reference built by
+    /// [`ReturnScreen::reference`] (higher = more outlying).
+    pub fn score_against(&self, device: &Device, reference: &RobustReference) -> f64 {
+        self.detector.score(&reference.project(device, &self.selected_tests))
     }
 
     /// Outlier score of a device against a reference population
     /// (higher = more outlying).
+    ///
+    /// Each call makes an O(n) robust-statistics pass over `population`.
+    /// To score many devices against one population, build its
+    /// [`ReturnScreen::reference`] once and use
+    /// [`ReturnScreen::score_against`].
     pub fn score(&self, device: &Device, population: &[&Device]) -> f64 {
-        let (center, spread) = robust_stats(population, &self.selected_tests);
-        self.detector.score(&self.project(device, &center, &spread))
+        self.score_against(device, &self.reference(population))
     }
 
     /// Scores a whole population at once (shared robust statistics).
     pub fn score_population(&self, population: &[&Device]) -> Vec<f64> {
-        let (center, spread) = robust_stats(population, &self.selected_tests);
-        population.iter().map(|d| self.detector.score(&self.project(d, &center, &spread))).collect()
+        self.scores_against(population, &self.reference(population))
+    }
+
+    fn scores_against(&self, devices: &[&Device], reference: &RobustReference) -> Vec<f64> {
+        devices.iter().map(|d| self.score_against(d, reference)).collect()
     }
 
     /// Whether a device would be screened out as a suspected latent
     /// defect.
+    ///
+    /// Like [`ReturnScreen::score`], each call makes an O(n)
+    /// robust-statistics pass over `population`. To flag many devices
+    /// against one population, compare [`ReturnScreen::score_against`]
+    /// on its [`ReturnScreen::reference`] with [`ReturnScreen::threshold`].
     pub fn flags(&self, device: &Device, population: &[&Device]) -> bool {
         self.score(device, population) > self.threshold
     }
@@ -97,15 +112,47 @@ impl ReturnScreen {
     }
 }
 
-fn robust_stats(population: &[&Device], tests: &[usize]) -> (Vec<f64>, Vec<f64>) {
-    let mut center = Vec::with_capacity(tests.len());
-    let mut spread = Vec::with_capacity(tests.len());
-    for &t in tests {
-        let col: Vec<f64> = population.iter().map(|d| d.measurements[t]).collect();
-        center.push(stats::median(&col).unwrap_or(0.0));
-        spread.push(stats::mad(&col).unwrap_or(1.0).max(1e-9));
+/// Per-test median and MAD of one reference population, in the test
+/// subspace of the screen that built it: the robust z-score frame that
+/// lets one outlier model transfer across drifted lots and products.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RobustReference {
+    center: Vec<f64>,
+    spread: Vec<f64>,
+}
+
+impl RobustReference {
+    /// Median and MAD (floored at 1e-9) of each test in `tests`.
+    fn of(population: &[&Device], tests: &[usize]) -> Self {
+        let columns: Vec<Vec<f64>> = tests.iter().map(|&t| column(population, t)).collect();
+        Self::of_columns(&columns)
     }
-    (center, spread)
+
+    fn of_columns(columns: &[Vec<f64>]) -> Self {
+        let (center, spread) = columns
+            .iter()
+            .map(|col| {
+                let (med, mad) = stats::median_mad(col).unwrap_or((0.0, 1.0));
+                (med, mad.max(1e-9))
+            })
+            .unzip();
+        RobustReference { center, spread }
+    }
+
+    /// Robust z-scores of a device in `tests`, the subspace this
+    /// reference was built in.
+    fn project(&self, device: &Device, tests: &[usize]) -> Vec<f64> {
+        debug_assert_eq!(tests.len(), self.center.len(), "reference built in another subspace");
+        tests
+            .iter()
+            .zip(self.center.iter().zip(&self.spread))
+            .map(|(&t, (c, s))| (device.measurements[t] - c) / s)
+            .collect()
+    }
+}
+
+fn column(population: &[&Device], test: usize) -> Vec<f64> {
+    population.iter().map(|d| d.measurements[test]).collect()
 }
 
 /// Result of the three-plot Fig. 11 experiment.
@@ -140,13 +187,13 @@ pub fn select_test_space(
     n_tests: usize,
     n_selected: usize,
 ) -> Vec<usize> {
-    let all: Vec<usize> = (0..n_tests).collect();
-    let (center, spread) = robust_stats(passing, &all);
+    let columns: Vec<Vec<f64>> = (0..n_tests).map(|t| column(passing, t)).collect();
+    let reference = RobustReference::of_columns(&columns);
     let mut scored: Vec<(usize, f64)> = (0..n_tests)
         .map(|t| {
             let z: f64 = returns
                 .iter()
-                .map(|d| ((d.measurements[t] - center[t]) / spread[t]).abs())
+                .map(|d| ((d.measurements[t] - reference.center[t]) / reference.spread[t]).abs())
                 .sum::<f64>()
                 / returns.len().max(1) as f64;
             (t, z)
@@ -156,11 +203,7 @@ pub fn select_test_space(
     // De-correlate: drop tests correlated > 0.9 with an already-kept one.
     let mut kept: Vec<usize> = Vec::new();
     for (t, _) in scored {
-        let col_t: Vec<f64> = passing.iter().map(|d| d.measurements[t]).collect();
-        let redundant = kept.iter().any(|&k| {
-            let col_k: Vec<f64> = passing.iter().map(|d| d.measurements[k]).collect();
-            stats::pearson(&col_t, &col_k).abs() > 0.9
-        });
+        let redundant = kept.iter().any(|&k| stats::pearson(&columns[t], &columns[k]).abs() > 0.9);
         if !redundant {
             kept.push(t);
             if kept.len() == n_selected {
@@ -205,32 +248,22 @@ pub fn run<R: Rng + ?Sized>(
         selected.iter().map(|&t| product.test_names()[t].clone()).collect();
 
     // Outlier model on robust z-scores of the passing population.
-    let all_idx: Vec<usize> = selected.clone();
-    let (center, spread) = robust_stats(&survivors, &all_idx);
-    let z_pop: Vec<Vec<f64>> = survivors
-        .iter()
-        .map(|d| {
-            all_idx
-                .iter()
-                .enumerate()
-                .map(|(k, &t)| (d.measurements[t] - center[k]) / spread[k].max(1e-12))
-                .collect()
-        })
-        .collect();
+    let baseline_ref = RobustReference::of(&survivors, &selected);
+    let z_pop: Vec<Vec<f64>> =
+        survivors.iter().map(|d| baseline_ref.project(d, &selected)).collect();
     let detector = MahalanobisDetector::fit(&z_pop, config.threshold_quantile)?;
     let threshold = detector.threshold();
     let screen = ReturnScreen { selected_tests: selected, selected_names, detector, threshold };
 
     // Plot 1: percentile of each baseline return among survivors.
-    let survivor_scores = screen.score_population(&survivors);
-    let mut sorted_scores = survivor_scores.clone();
+    let mut sorted_scores = screen.scores_against(&survivors, &baseline_ref);
     sorted_scores.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
     let percentile = |s: f64| -> f64 {
         let below = sorted_scores.partition_point(|&v| v < s);
         below as f64 / sorted_scores.len().max(1) as f64
     };
     let baseline_return_percentiles: Vec<f64> =
-        returns.iter().map(|d| percentile(screen.score(d, &survivors))).collect();
+        returns.iter().map(|d| percentile(screen.score_against(d, &baseline_ref))).collect();
 
     // Plot 2: a later production window (months later = more drift).
     let mut later_devices = Vec::new();
@@ -239,7 +272,9 @@ pub fn run<R: Rng + ?Sized>(
     }
     let (later_shipped, _) = flow.screen(&later_devices);
     let (later_returns, later_survivors) = field.field_exposure(&later_shipped, rng);
-    let later_caught = later_returns.iter().filter(|d| screen.flags(d, &later_survivors)).count();
+    let later_ref = screen.reference(&later_survivors);
+    let later_caught =
+        later_returns.iter().filter(|d| screen.score_against(d, &later_ref) > threshold).count();
 
     // Plot 3: the sister product a year later.
     let sister = product.sister_product();
@@ -250,12 +285,13 @@ pub fn run<R: Rng + ?Sized>(
     }
     let (sister_shipped, _) = sister_flow.screen(&sister_devices);
     let (sister_returns, sister_survivors) = field.field_exposure(&sister_shipped, rng);
+    let sister_ref = screen.reference(&sister_survivors);
     let sister_caught =
-        sister_returns.iter().filter(|d| screen.flags(d, &sister_survivors)).count();
+        sister_returns.iter().filter(|d| screen.score_against(d, &sister_ref) > threshold).count();
 
     // Overkill on the healthy later population.
-    let later_scores = screen.score_population(&later_survivors);
-    let overkill = later_scores.iter().filter(|&&s| s > screen.threshold()).count() as f64
+    let later_scores = screen.scores_against(&later_survivors, &later_ref);
+    let overkill = later_scores.iter().filter(|&&s| s > threshold).count() as f64
         / later_scores.len().max(1) as f64;
 
     Ok(ReturnScreeningResult {
@@ -279,13 +315,7 @@ mod tests {
     #[test]
     fn returns_are_extreme_outliers_and_model_transfers() {
         let mut rng = StdRng::seed_from_u64(101);
-        let config = ReturnScreeningConfig {
-            lot_size: 2_000,
-            n_lots: 8,
-            defect_rate: 2e-3,
-            ..Default::default()
-        };
-        let result = run(&config, &mut rng).unwrap();
+        let result = run(&small_config(), &mut rng).unwrap();
         assert!(result.n_baseline_returns >= 3);
         // Plot 1: returns sit at the extreme tail of the population.
         for &p in &result.baseline_return_percentiles {
@@ -313,6 +343,175 @@ mod tests {
             "selected {:?}",
             result.screen.selected_names
         );
+    }
+
+    fn small_config() -> ReturnScreeningConfig {
+        ReturnScreeningConfig {
+            lot_size: 2_000,
+            n_lots: 8,
+            defect_rate: 2e-3,
+            ..Default::default()
+        }
+    }
+
+    /// Per-test median and MAD as separate sorts per call.
+    fn per_call_robust_stats(population: &[&Device], tests: &[usize]) -> (Vec<f64>, Vec<f64>) {
+        let mut center = Vec::with_capacity(tests.len());
+        let mut spread = Vec::with_capacity(tests.len());
+        for &t in tests {
+            let col: Vec<f64> = population.iter().map(|d| d.measurements[t]).collect();
+            center.push(stats::median(&col).unwrap_or(0.0));
+            spread.push(stats::mad(&col).unwrap_or(1.0).max(1e-9));
+        }
+        (center, spread)
+    }
+
+    /// The flow as it ran before reference populations were shared:
+    /// robust statistics recomputed for every `score`/`flags` call and
+    /// every candidate column re-collected during test selection.
+    fn run_per_call(config: &ReturnScreeningConfig, rng: &mut StdRng) -> ReturnScreeningResult {
+        let product = ProductModel::automotive().with_defect_rate(config.defect_rate);
+        let flow = TestFlow::new(product.spec_limits().to_vec());
+        let field = FieldModel::default();
+        let mut devices = Vec::new();
+        for lot in 0..config.n_lots {
+            devices.extend(product.generate_lot(lot, config.lot_size, rng));
+        }
+        let (shipped, _) = flow.screen(&devices);
+        let (returns, survivors) = field.field_exposure(&shipped, rng);
+
+        let n_tests = product.n_tests();
+        let all: Vec<usize> = (0..n_tests).collect();
+        let (center, spread) = per_call_robust_stats(&survivors, &all);
+        let mut scored: Vec<(usize, f64)> = (0..n_tests)
+            .map(|t| {
+                let z: f64 = returns
+                    .iter()
+                    .map(|d| ((d.measurements[t] - center[t]) / spread[t]).abs())
+                    .sum::<f64>()
+                    / returns.len().max(1) as f64;
+                (t, z)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let mut selected: Vec<usize> = Vec::new();
+        for (t, _) in scored {
+            let col_t: Vec<f64> = survivors.iter().map(|d| d.measurements[t]).collect();
+            let redundant = selected.iter().any(|&k| {
+                let col_k: Vec<f64> = survivors.iter().map(|d| d.measurements[k]).collect();
+                stats::pearson(&col_t, &col_k).abs() > 0.9
+            });
+            if !redundant {
+                selected.push(t);
+                if selected.len() == config.n_selected {
+                    break;
+                }
+            }
+        }
+        let selected_names = selected.iter().map(|&t| product.test_names()[t].clone()).collect();
+
+        let (center, spread) = per_call_robust_stats(&survivors, &selected);
+        let z_pop: Vec<Vec<f64>> = survivors
+            .iter()
+            .map(|d| {
+                selected
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &t)| (d.measurements[t] - center[k]) / spread[k].max(1e-12))
+                    .collect()
+            })
+            .collect();
+        let detector = MahalanobisDetector::fit(&z_pop, config.threshold_quantile).unwrap();
+        let threshold = detector.threshold();
+        let screen = ReturnScreen { selected_tests: selected, selected_names, detector, threshold };
+
+        let mut sorted_scores = screen.score_population(&survivors);
+        sorted_scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let baseline_return_percentiles = returns
+            .iter()
+            .map(|d| {
+                let s = screen.score(d, &survivors);
+                sorted_scores.partition_point(|&v| v < s) as f64 / sorted_scores.len().max(1) as f64
+            })
+            .collect();
+
+        let mut later_devices = Vec::new();
+        for lot in config.n_lots..(config.n_lots + 4) {
+            later_devices.extend(product.generate_lot(lot + 20, config.lot_size, rng));
+        }
+        let (later_shipped, _) = flow.screen(&later_devices);
+        let (later_returns, later_survivors) = field.field_exposure(&later_shipped, rng);
+        let later_caught =
+            later_returns.iter().filter(|d| screen.flags(d, &later_survivors)).count();
+
+        let sister = product.sister_product();
+        let sister_flow = TestFlow::new(sister.spec_limits().to_vec());
+        let mut sister_devices = Vec::new();
+        for lot in 0..4 {
+            sister_devices.extend(sister.generate_lot(lot + 50, config.lot_size, rng));
+        }
+        let (sister_shipped, _) = sister_flow.screen(&sister_devices);
+        let (sister_returns, sister_survivors) = field.field_exposure(&sister_shipped, rng);
+        let sister_caught =
+            sister_returns.iter().filter(|d| screen.flags(d, &sister_survivors)).count();
+
+        let later_scores = screen.score_population(&later_survivors);
+        let overkill_rate = later_scores.iter().filter(|&&s| s > screen.threshold()).count() as f64
+            / later_scores.len().max(1) as f64;
+
+        ReturnScreeningResult {
+            n_baseline_returns: returns.len(),
+            baseline_return_percentiles,
+            later_caught,
+            later_total: later_returns.len(),
+            sister_caught,
+            sister_total: sister_returns.len(),
+            overkill_rate,
+            screen,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn shared_references_reproduce_per_call_scoring_bitwise() {
+        let config = small_config();
+        let got = run(&config, &mut StdRng::seed_from_u64(101)).unwrap();
+        let want = run_per_call(&config, &mut StdRng::seed_from_u64(101));
+        assert_eq!(got.n_baseline_returns, want.n_baseline_returns);
+        assert_eq!(bits(&got.baseline_return_percentiles), bits(&want.baseline_return_percentiles));
+        assert_eq!(
+            (got.later_caught, got.later_total, got.sister_caught, got.sister_total),
+            (want.later_caught, want.later_total, want.sister_caught, want.sister_total)
+        );
+        assert_eq!(got.overkill_rate.to_bits(), want.overkill_rate.to_bits());
+        assert_eq!(got.screen.selected_tests, want.screen.selected_tests);
+        assert_eq!(got.screen.selected_names, want.screen.selected_names);
+        assert_eq!(got.screen.threshold().to_bits(), want.screen.threshold().to_bits());
+    }
+
+    #[test]
+    fn score_against_a_reference_equals_score_against_its_population() {
+        let mut rng = StdRng::seed_from_u64(101);
+        let result = run(&small_config(), &mut rng).unwrap();
+        let screen = &result.screen;
+        let product = ProductModel::automotive().with_defect_rate(2e-3);
+        let lot = product.generate_lot(3, 1_500, &mut rng);
+        let population: Vec<&Device> = lot.iter().collect();
+        let reference = screen.reference(&population);
+        let scores = screen.score_population(&population);
+        for (d, s) in population.iter().zip(&scores).step_by(37) {
+            let against = screen.score_against(d, &reference);
+            assert_eq!(against.to_bits(), screen.score(d, &population).to_bits());
+            assert_eq!(against.to_bits(), s.to_bits());
+            assert_eq!(against > screen.threshold(), screen.flags(d, &population));
+        }
+        // An empty population falls back to center 0 and spread 1.
+        let empty = screen.reference(&[]);
+        let d = population[0];
+        assert_eq!(screen.score_against(d, &empty).to_bits(), screen.score(d, &[]).to_bits());
     }
 
     #[test]

@@ -128,7 +128,10 @@ pub fn correlation_matrix(x: &Matrix) -> Matrix {
 
 /// Empirical quantile by linear interpolation, `q` in `[0, 1]`.
 ///
-/// Returns `None` for an empty sample.
+/// Returns `None` for an empty sample. Runs in expected linear time:
+/// the two order statistics it interpolates between are found by
+/// selection, not by sorting, and are bitwise the ones a full sort
+/// would give.
 ///
 /// # Panics
 ///
@@ -138,16 +141,32 @@ pub fn quantile(sample: &[f64], q: f64) -> Option<f64> {
     if sample.is_empty() {
         return None;
     }
-    let mut s = sample.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    Some(select_quantile(&mut sample.to_vec(), q))
+}
+
+/// The `q` quantile of a non-empty buffer, reordering it in place.
+///
+/// `s[lo] + frac * (s[hi] - s[lo])` over the sorted order, where `s[lo]`
+/// is found by `select_nth_unstable_by` and `s[hi]` (when `hi > lo`) is
+/// the minimum of the partition right of it. Both are exact order
+/// statistics. A sort may order `-0.0` and `+0.0` either way, but the
+/// interpolation maps either zero to the same result.
+fn select_quantile(s: &mut [f64], q: f64) -> f64 {
+    assert!(!s.iter().any(|v| v.is_nan()), "NaN in quantile input");
     let pos = q * (s.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    Some(s[lo] + frac * (s[hi] - s[lo]))
+    let (_, &mut s_lo, right) = s.select_nth_unstable_by(lo, f64::total_cmp);
+    let s_hi = if hi > lo { right.iter().copied().fold(f64::INFINITY, f64::min) } else { s_lo };
+    s_lo + frac * (s_hi - s_lo)
 }
 
 /// Median (the 0.5 quantile). `None` for an empty sample.
+///
+/// # Panics
+///
+/// Panics if the data contains NaN.
 pub fn median(sample: &[f64]) -> Option<f64> {
     quantile(sample, 0.5)
 }
@@ -157,10 +176,33 @@ pub fn median(sample: &[f64]) -> Option<f64> {
 ///
 /// The robust spread estimate used for outlier limits in `edm-mfgtest`
 /// ("robust limits" are standard practice in part-average testing).
+///
+/// # Panics
+///
+/// As [`median_mad`].
 pub fn mad(sample: &[f64]) -> Option<f64> {
-    let med = median(sample)?;
-    let deviations: Vec<f64> = sample.iter().map(|x| (x - med).abs()).collect();
-    median(&deviations).map(|m| 1.4826 * m)
+    median_mad(sample).map(|(_, m)| m)
+}
+
+/// Median and scaled MAD of a sample, `(median(sample), mad(sample))`
+/// bitwise, from two linear-time selections on one copy of the sample.
+/// `None` for an empty sample.
+///
+/// # Panics
+///
+/// Panics if the data contains NaN, or an infinite median leaves a NaN
+/// deviation (`∞ − ∞`).
+pub fn median_mad(sample: &[f64]) -> Option<(f64, f64)> {
+    if sample.is_empty() {
+        return None;
+    }
+    let mut buf = sample.to_vec();
+    let med = select_quantile(&mut buf, 0.5);
+    // The deviations' multiset does not depend on the buffer's order.
+    for v in &mut buf {
+        *v = (*v - med).abs();
+    }
+    Some((med, 1.4826 * select_quantile(&mut buf, 0.5)))
 }
 
 /// Histogram of `sample` over `bins` equal-width bins spanning
@@ -231,6 +273,37 @@ mod tests {
         assert_eq!(quantile(&s, 1.0), Some(4.0));
         assert_eq!(median(&s), Some(2.5));
         assert_eq!(quantile(&[], 0.5), None);
+        assert_eq!(median_mad(&[]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_panics_on_lone_nan() {
+        let _ = quantile(&[f64::NAN], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_panics_on_leading_nan() {
+        let _ = quantile(&[f64::NAN, 1.0, 2.0, 3.0, 4.0], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_panics_on_middle_nan() {
+        let _ = quantile(&[1.0, 2.0, f64::NAN, 3.0, 4.0], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_panics_on_trailing_nan() {
+        let _ = quantile(&[1.0, 2.0, 3.0, 4.0, f64::NAN], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn mad_panics_on_lone_nan() {
+        let _ = mad(&[f64::NAN]);
     }
 
     #[test]
