@@ -36,17 +36,27 @@ pub enum AnyKernel {
 }
 
 impl AnyKernel {
-    /// A short stable tag identifying the wrapped kernel kind, used as
-    /// the on-disk discriminant by `edm::persist`.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            AnyKernel::Linear(_) => "linear",
-            AnyKernel::Poly(_) => "poly",
-            AnyKernel::Rbf(_) => "rbf",
-            AnyKernel::Sigmoid(_) => "sigmoid",
-            AnyKernel::HistogramIntersection(_) => "hist_intersection",
-            AnyKernel::Chi2(_) => "chi2",
+    /// Checks the wrapped kernel's parameters against its constructor's
+    /// preconditions (`γ > 0`; `d ≥ 1` for the polynomial kernel). A
+    /// deserialized kernel never ran its constructor, so model loaders
+    /// call this before scoring with one.
+    ///
+    /// # Errors
+    ///
+    /// A description of the violated precondition.
+    pub fn check(&self) -> Result<(), String> {
+        let gamma = match self {
+            AnyKernel::Linear(_) | AnyKernel::HistogramIntersection(_) => return Ok(()),
+            AnyKernel::Poly(k) if k.degree == 0 => return Err("poly kernel of degree 0".into()),
+            AnyKernel::Poly(k) => k.gamma,
+            AnyKernel::Rbf(k) => k.gamma,
+            AnyKernel::Sigmoid(k) => k.gamma,
+            AnyKernel::Chi2(k) => k.gamma,
+        };
+        if !(gamma > 0.0) {
+            return Err(format!("kernel gamma {gamma} is not positive"));
         }
+        Ok(())
     }
 }
 
@@ -114,7 +124,7 @@ mod tests {
             (SigmoidKernel::new(0.2, -1.0).into(), SigmoidKernel::new(0.2, -1.0).eval(&a, &b)),
         ];
         for (any, want) in cases {
-            assert_eq!(any.eval(&a, &b).to_bits(), want.to_bits(), "{}", any.tag());
+            assert_eq!(any.eval(&a, &b).to_bits(), want.to_bits(), "{any:?}");
         }
         // Histogram kernels need non-negative inputs.
         let h = [0.2, 0.5, 0.3];
@@ -126,5 +136,20 @@ mod tests {
             any.eval(&h, &g).to_bits(),
             HistogramIntersectionKernel::new().eval(&h, &g).to_bits()
         );
+    }
+
+    #[test]
+    fn check_enforces_constructor_preconditions() {
+        assert!(AnyKernel::from(PolyKernel::new(2, 0.5, 1.0)).check().is_ok());
+        assert!(AnyKernel::from(LinearKernel::new()).check().is_ok());
+        let mut rbf = RbfKernel::new(1.0);
+        rbf.gamma = f64::NAN;
+        assert!(AnyKernel::from(rbf).check().is_err());
+        let mut poly = PolyKernel::new(2, 0.5, 1.0);
+        poly.degree = 0;
+        assert!(AnyKernel::from(poly).check().is_err());
+        let mut chi2 = Chi2Kernel::new(1.0);
+        chi2.gamma = -1.0;
+        assert!(AnyKernel::from(chi2).check().is_err());
     }
 }

@@ -28,8 +28,8 @@ impl Kernel<[f64]> for LinearKernel {
 /// linearly separable.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PolyKernel {
-    degree: u32,
-    gamma: f64,
+    pub(crate) degree: u32,
+    pub(crate) gamma: f64,
     coef0: f64,
 }
 
@@ -49,21 +49,6 @@ impl PolyKernel {
     pub fn homogeneous(degree: u32) -> Self {
         PolyKernel::new(degree, 1.0, 0.0)
     }
-
-    /// The polynomial degree `d`.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
-    /// The scale `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// The offset `c`.
-    pub fn coef0(&self) -> f64 {
-        self.coef0
-    }
 }
 
 impl Kernel<[f64]> for PolyKernel {
@@ -78,7 +63,7 @@ impl Kernel<[f64]> for PolyKernel {
 /// model — the knob swept by the Fig. 5 overfitting experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RbfKernel {
-    gamma: f64,
+    pub(crate) gamma: f64,
 }
 
 impl RbfKernel {
@@ -90,11 +75,6 @@ impl RbfKernel {
     pub fn new(gamma: f64) -> Self {
         assert!(gamma > 0.0, "gamma must be positive, got {gamma}");
         RbfKernel { gamma }
-    }
-
-    /// The bandwidth parameter `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
     }
 }
 
@@ -111,7 +91,7 @@ impl Kernel<[f64]> for RbfKernel {
 /// this.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SigmoidKernel {
-    gamma: f64,
+    pub(crate) gamma: f64,
     coef0: f64,
 }
 
@@ -124,16 +104,6 @@ impl SigmoidKernel {
     pub fn new(gamma: f64, coef0: f64) -> Self {
         assert!(gamma > 0.0, "gamma must be positive, got {gamma}");
         SigmoidKernel { gamma, coef0 }
-    }
-
-    /// The scale `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// The offset `c`.
-    pub fn coef0(&self) -> f64 {
-        self.coef0
     }
 }
 
@@ -173,7 +143,7 @@ impl Kernel<[f64]> for HistogramIntersectionKernel {
 /// near-identical histograms. Zero-sum bins contribute nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Chi2Kernel {
-    gamma: f64,
+    pub(crate) gamma: f64,
 }
 
 impl Chi2Kernel {
@@ -185,11 +155,6 @@ impl Chi2Kernel {
     pub fn new(gamma: f64) -> Self {
         assert!(gamma > 0.0, "gamma must be positive, got {gamma}");
         Chi2Kernel { gamma }
-    }
-
-    /// The scale `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
     }
 }
 

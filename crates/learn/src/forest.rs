@@ -98,18 +98,6 @@ impl RandomForestClassifier {
         Ok(RandomForestClassifier { trees, n_features: d })
     }
 
-    /// Reassembles a forest from persisted trees — the inverse of
-    /// [`RandomForestClassifier::trees`], used by `edm::persist`.
-    pub fn from_parts(trees: Vec<DecisionTreeClassifier>, n_features: usize) -> Self {
-        assert!(!trees.is_empty(), "a forest needs at least one tree");
-        RandomForestClassifier { trees, n_features }
-    }
-
-    /// The fitted trees, in training order.
-    pub fn trees(&self) -> &[DecisionTreeClassifier] {
-        &self.trees
-    }
-
     /// Number of trees in the ensemble.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -118,6 +106,32 @@ impl RandomForestClassifier {
     /// Dimensionality of the training samples.
     pub fn n_features(&self) -> usize {
         self.n_features
+    }
+
+    /// Checks the invariants [`RandomForestClassifier::fit`]
+    /// establishes — at least one tree, and every split testing a
+    /// feature below [`RandomForestClassifier::n_features`] — for a
+    /// forest that did not come from `fit`, such as a deserialized one.
+    ///
+    /// # Errors
+    ///
+    /// [`LearnError::InvalidParameter`] for an empty forest;
+    /// [`LearnError::InvalidInput`] for an out-of-range split feature.
+    pub fn check(&self) -> Result<(), LearnError> {
+        if self.trees.is_empty() {
+            return Err(LearnError::InvalidParameter {
+                name: "n_trees",
+                value: 0.0,
+                constraint: "must be at least 1",
+            });
+        }
+        match self.trees.iter().filter_map(DecisionTreeClassifier::max_split_feature).max() {
+            Some(f) if f >= self.n_features => Err(LearnError::InvalidInput(format!(
+                "split on feature {f} in a {}-feature forest",
+                self.n_features
+            ))),
+            _ => Ok(()),
+        }
     }
 
     /// Majority votes for a batch of samples (parallel; bitwise

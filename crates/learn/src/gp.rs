@@ -95,11 +95,6 @@ impl<K: Kernel<[f64]> + Clone> GpRegressor<K> {
         edm_par::map_indexed(xs.len(), |i| self.predict(&xs[i]))
     }
 
-    /// The noise variance σ² used at fit time.
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
-
     /// Dimensionality of the training samples.
     pub fn n_features(&self) -> usize {
         self.x[0].len()
@@ -122,46 +117,32 @@ impl<K: Kernel<[f64]> + Clone> GpRegressor<K> {
 }
 
 impl<K> GpRegressor<K> {
-    /// Reassembles a regressor from its persisted parts — the inverse
-    /// of the accessors below, used by `edm::persist`. The Cholesky
-    /// factor is stored verbatim, so the rebuilt posterior is bitwise
-    /// identical to the fitted one.
-    pub fn from_parts(
-        kernel: K,
-        x: Vec<Vec<f64>>,
-        alpha: Vec<f64>,
-        chol: Cholesky,
-        y_mean: f64,
-        noise: f64,
-    ) -> Self {
-        assert_eq!(x.len(), alpha.len(), "one alpha per training sample");
-        assert_eq!(chol.dim(), x.len(), "Cholesky factor must match the training set");
-        GpRegressor { kernel, x, alpha, chol, y_mean, noise }
-    }
-
     /// The kernel the posterior was conditioned with.
     pub fn kernel(&self) -> &K {
         &self.kernel
     }
 
-    /// The training samples conditioned on.
-    pub fn training_x(&self) -> &[Vec<f64>] {
-        &self.x
-    }
-
-    /// The precomputed weights `(K + σ²I)⁻¹ (y − ȳ)`.
-    pub fn alpha(&self) -> &[f64] {
-        &self.alpha
-    }
-
-    /// The Cholesky factor of `K + σ²I`.
-    pub fn cholesky(&self) -> &Cholesky {
-        &self.chol
-    }
-
-    /// The constant mean subtracted from the targets at fit time.
-    pub fn y_mean(&self) -> f64 {
-        self.y_mean
+    /// Checks the shape invariants [`GpRegressor::fit`] establishes — a
+    /// non-empty training set of equal, non-zero-width rows, one weight
+    /// per row, and an `n × n` Cholesky factor — for a regressor that
+    /// did not come from `fit`, such as a deserialized one. The kernel's
+    /// parameters are the caller's to check.
+    ///
+    /// # Errors
+    ///
+    /// [`LearnError::InvalidInput`] naming the broken invariant.
+    pub fn check(&self) -> Result<(), LearnError> {
+        check_xy(&self.x, self.alpha.len())?;
+        let l = self.chol.l();
+        if l.shape() != (self.x.len(), self.x.len()) {
+            return Err(LearnError::InvalidInput(format!(
+                "{}x{} Cholesky factor for {} training samples",
+                l.rows(),
+                l.cols(),
+                self.x.len()
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -9,9 +9,25 @@ use crate::{error::check_xy, LearnError};
 fn k_nearest(train: &[Vec<f64>], x: &[f64], k: usize) -> Vec<(f64, usize)> {
     let mut d: Vec<(f64, usize)> =
         train.iter().enumerate().map(|(i, t)| (edm_linalg::sq_dist(t, x), i)).collect();
-    d.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
+    // `total_cmp` agrees with `partial_cmp` on the non-negative finite
+    // distances real data yields, and orders a NaN last instead of
+    // panicking mid-request.
+    d.sort_by(|a, b| a.0.total_cmp(&b.0));
     d.truncate(k);
     d
+}
+
+/// The invariants every k-NN model holds: `k ≥ 1` and a non-empty,
+/// rectangular training set with one target per sample.
+fn check_parts(k: usize, x: &[Vec<f64>], n_targets: usize) -> Result<(), LearnError> {
+    if k == 0 {
+        return Err(LearnError::InvalidParameter {
+            name: "k",
+            value: 0.0,
+            constraint: "must be at least 1",
+        });
+    }
+    check_xy(x, n_targets).map(drop)
 }
 
 /// A k-NN classifier (majority vote; distance-weighted vote optional).
@@ -47,55 +63,13 @@ impl KnnClassifier {
     /// [`LearnError::InvalidInput`] on empty/ragged/mismatched input;
     /// [`LearnError::InvalidParameter`] if `k == 0`.
     pub fn fit(k: usize, x: &[Vec<f64>], y: &[i32]) -> Result<Self, LearnError> {
-        if k == 0 {
-            return Err(LearnError::InvalidParameter {
-                name: "k",
-                value: 0.0,
-                constraint: "must be at least 1",
-            });
-        }
-        check_xy(x, y.len())?;
+        check_parts(k, x, y.len())?;
         Ok(KnnClassifier { k, x: x.to_vec(), y: y.to_vec(), weighted: false })
-    }
-
-    /// Consuming variant of [`KnnClassifier::fit`], kept for callers of
-    /// the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KnnClassifier::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(k, &x, &y)`, which borrows its input")]
-    pub fn fit_owned(k: usize, x: Vec<Vec<f64>>, y: Vec<i32>) -> Result<Self, LearnError> {
-        Self::fit(k, &x, &y)
-    }
-
-    /// Reassembles a classifier from persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist`.
-    pub fn from_parts(k: usize, x: Vec<Vec<f64>>, y: Vec<i32>, weighted: bool) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert_eq!(x.len(), y.len(), "one label per sample");
-        KnnClassifier { k, x, y, weighted }
     }
 
     /// The neighbor count `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The memorized training samples.
-    pub fn training_x(&self) -> &[Vec<f64>] {
-        &self.x
-    }
-
-    /// The memorized training labels.
-    pub fn training_y(&self) -> &[i32] {
-        &self.y
-    }
-
-    /// Whether inverse-distance weighting is enabled.
-    pub fn is_weighted(&self) -> bool {
-        self.weighted
     }
 
     /// Switches to inverse-distance-weighted voting — one way of
@@ -117,7 +91,7 @@ impl KnnClassifier {
                 None => votes.push((self.y[i], w)),
             }
         }
-        votes.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite votes").then(a.0.cmp(&b.0)));
+        votes.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         votes[0].0
     }
 
@@ -130,6 +104,17 @@ impl KnnClassifier {
     /// Dimensionality of the memorized training samples.
     pub fn n_features(&self) -> usize {
         self.x[0].len()
+    }
+
+    /// Checks the invariants [`KnnClassifier::fit`] establishes (see its
+    /// errors) for a model that did not come from `fit`, such as a
+    /// deserialized one.
+    ///
+    /// # Errors
+    ///
+    /// As for [`KnnClassifier::fit`].
+    pub fn check(&self) -> Result<(), LearnError> {
+        check_parts(self.k, &self.x, self.y.len())
     }
 }
 
@@ -149,50 +134,13 @@ impl KnnRegressor {
     ///
     /// As for [`KnnClassifier::fit`].
     pub fn fit(k: usize, x: &[Vec<f64>], y: &[f64]) -> Result<Self, LearnError> {
-        if k == 0 {
-            return Err(LearnError::InvalidParameter {
-                name: "k",
-                value: 0.0,
-                constraint: "must be at least 1",
-            });
-        }
-        check_xy(x, y.len())?;
+        check_parts(k, x, y.len())?;
         Ok(KnnRegressor { k, x: x.to_vec(), y: y.to_vec() })
-    }
-
-    /// Consuming variant of [`KnnRegressor::fit`], kept for callers of
-    /// the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KnnRegressor::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(k, &x, &y)`, which borrows its input")]
-    pub fn fit_owned(k: usize, x: Vec<Vec<f64>>, y: Vec<f64>) -> Result<Self, LearnError> {
-        Self::fit(k, &x, &y)
-    }
-
-    /// Reassembles a regressor from persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist`.
-    pub fn from_parts(k: usize, x: Vec<Vec<f64>>, y: Vec<f64>) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert_eq!(x.len(), y.len(), "one target per sample");
-        KnnRegressor { k, x, y }
     }
 
     /// The neighbor count `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The memorized training samples.
-    pub fn training_x(&self) -> &[Vec<f64>] {
-        &self.x
-    }
-
-    /// The memorized training targets.
-    pub fn training_y(&self) -> &[f64] {
-        &self.y
     }
 
     /// Predicts the mean target of the k nearest neighbors.
@@ -211,6 +159,17 @@ impl KnnRegressor {
     /// Dimensionality of the memorized training samples.
     pub fn n_features(&self) -> usize {
         self.x[0].len()
+    }
+
+    /// Checks the invariants [`KnnRegressor::fit`] establishes (see its
+    /// errors) for a model that did not come from `fit`, such as a
+    /// deserialized one.
+    ///
+    /// # Errors
+    ///
+    /// As for [`KnnRegressor::fit`].
+    pub fn check(&self) -> Result<(), LearnError> {
+        check_parts(self.k, &self.x, self.y.len())
     }
 }
 
@@ -259,5 +218,16 @@ mod tests {
             KnnClassifier::fit(0, &[vec![0.0]], &[0]),
             Err(LearnError::InvalidParameter { name: "k", .. })
         ));
+    }
+
+    #[test]
+    fn nan_training_value_ranks_last_instead_of_panicking() {
+        // One flipped exponent bit turns 1.5 into NaN; a corrupted
+        // model must still answer, from its finite neighbors.
+        let x = vec![vec![0.0], vec![f64::from_bits(1.5f64.to_bits() | 1 << 62)], vec![0.2]];
+        let c = KnnClassifier::fit(2, &x, &[4, 9, 4]).unwrap().weighted();
+        assert_eq!(c.predict(&[0.1]), 4);
+        let r = KnnRegressor::fit(2, &x, &[1.0, 100.0, 3.0]).unwrap();
+        assert_eq!(r.predict(&[0.1]), 2.0);
     }
 }

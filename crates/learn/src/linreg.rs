@@ -41,12 +41,6 @@ impl LeastSquares {
         Ok(LeastSquares { intercept: w[0], coef: w[1..].to_vec() })
     }
 
-    /// Reassembles a model from persisted weights — the inverse of the
-    /// accessors below, used by `edm::persist`.
-    pub fn from_parts(coef: Vec<f64>, intercept: f64) -> Self {
-        LeastSquares { coef, intercept }
-    }
-
     /// The learned weights (one per feature).
     pub fn coefficients(&self) -> &[f64] {
         &self.coef
@@ -130,12 +124,6 @@ impl Ridge {
         Ok(Ridge { coef, intercept, lambda })
     }
 
-    /// Reassembles a model from persisted weights — the inverse of the
-    /// accessors below, used by `edm::persist`.
-    pub fn from_parts(coef: Vec<f64>, intercept: f64, lambda: f64) -> Self {
-        Ridge { coef, intercept, lambda }
-    }
-
     /// The learned weights.
     pub fn coefficients(&self) -> &[f64] {
         &self.coef
@@ -144,11 +132,6 @@ impl Ridge {
     /// The learned intercept.
     pub fn intercept(&self) -> f64 {
         self.intercept
-    }
-
-    /// The regularization strength used at fit time.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Predicts `wᵀx + b`.

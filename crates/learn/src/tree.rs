@@ -39,61 +39,7 @@ pub(crate) enum Node {
     },
 }
 
-/// One tree node in the pre-order flattened form used by model
-/// persistence: a [`FlatNode::Split`] is always followed by its entire
-/// left subtree, then its entire right subtree. This keeps the
-/// recursive [`Node`] type private while letting `edm::persist` write
-/// trees as a flat record stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlatNode {
-    /// A leaf carrying the predicted value and the class histogram
-    /// (empty for regression trees).
-    Leaf {
-        /// Majority label (classification) or mean target (regression).
-        value: f64,
-        /// Class histogram as `(label, count)` pairs.
-        counts: Vec<(i32, usize)>,
-    },
-    /// An internal split on `feature <= threshold`.
-    Split {
-        /// Feature index tested.
-        feature: usize,
-        /// Split threshold (left iff `x[feature] <= threshold`).
-        threshold: f64,
-    },
-}
-
 impl Node {
-    fn flatten_into(&self, out: &mut Vec<FlatNode>) {
-        match self {
-            Node::Leaf { value, counts } => {
-                out.push(FlatNode::Leaf { value: *value, counts: counts.clone() });
-            }
-            Node::Split { feature, threshold, left, right } => {
-                out.push(FlatNode::Split { feature: *feature, threshold: *threshold });
-                left.flatten_into(out);
-                right.flatten_into(out);
-            }
-        }
-    }
-
-    fn from_flat(nodes: &[FlatNode], pos: &mut usize) -> Result<Node, LearnError> {
-        let node = nodes
-            .get(*pos)
-            .ok_or_else(|| LearnError::InvalidInput("flattened tree ends mid-subtree".into()))?;
-        *pos += 1;
-        match node {
-            FlatNode::Leaf { value, counts } => {
-                Ok(Node::Leaf { value: *value, counts: counts.clone() })
-            }
-            FlatNode::Split { feature, threshold } => {
-                let left = Box::new(Node::from_flat(nodes, pos)?);
-                let right = Box::new(Node::from_flat(nodes, pos)?);
-                Ok(Node::Split { feature: *feature, threshold: *threshold, left, right })
-            }
-        }
-    }
-
     fn descend(&self, x: &[f64]) -> &Node {
         match self {
             Node::Leaf { .. } => self,
@@ -111,6 +57,18 @@ impl Node {
         match self {
             Node::Leaf { .. } => 0,
             Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
+        }
+    }
+
+    fn max_split_feature(&self) -> Option<usize> {
+        match self {
+            Node::Leaf { .. } => None,
+            Node::Split { feature, left, right, .. } => {
+                [Some(*feature), left.max_split_feature(), right.max_split_feature()]
+                    .into_iter()
+                    .flatten()
+                    .max()
+            }
         }
     }
 
@@ -326,32 +284,10 @@ impl DecisionTreeClassifier {
         self.root.n_leaves()
     }
 
-    /// The tree in pre-order flattened form (see [`FlatNode`]) — the
-    /// representation `edm::persist` writes to disk.
-    pub fn flatten(&self) -> Vec<FlatNode> {
-        let mut out = Vec::new();
-        self.root.flatten_into(&mut out);
-        out
-    }
-
-    /// Rebuilds a tree from its pre-order flattened form. Splits and
-    /// leaves are restored verbatim, so the rebuilt tree predicts
-    /// bitwise identically.
-    ///
-    /// # Errors
-    ///
-    /// [`LearnError::InvalidInput`] if the node stream is truncated or
-    /// has trailing nodes.
-    pub fn from_flat(nodes: &[FlatNode]) -> Result<Self, LearnError> {
-        let mut pos = 0;
-        let root = Node::from_flat(nodes, &mut pos)?;
-        if pos != nodes.len() {
-            return Err(LearnError::InvalidInput(format!(
-                "flattened tree has {} trailing nodes",
-                nodes.len() - pos
-            )));
-        }
-        Ok(DecisionTreeClassifier { root })
+    /// The largest feature index any split tests (`None` for a single
+    /// leaf) — what a model loader checks against the feature count.
+    pub(crate) fn max_split_feature(&self) -> Option<usize> {
+        self.root.max_split_feature()
     }
 }
 

@@ -61,20 +61,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// Rebuilds a factorization from a stored lower-triangular factor
-    /// `L` (as returned by [`Cholesky::l`]) — used by model persistence
-    /// to round-trip fitted posteriors without refactorizing. The
-    /// factor is taken verbatim; solves with it are bitwise identical
-    /// to the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is not square.
-    pub fn from_factor(l: Matrix) -> Self {
-        assert!(l.is_square(), "Cholesky factor must be square");
-        Cholesky { l }
-    }
-
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix {
         &self.l

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{Cholesky, LinalgError, Lu, Qr, SymmetricEigen};
 
@@ -23,11 +23,29 @@ use crate::{Cholesky, LinalgError, Lu, Qr, SymmetricEigen};
 /// let c = a.mat_mul(&b);
 /// assert_eq!(c[(0, 0)], 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Derived field by field, but refusing a value whose `data` length is
+/// not `rows × cols` — the invariant every indexing path relies on.
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Fields {
+            rows: usize,
+            cols: usize,
+            data: Vec<f64>,
+        }
+        let Fields { rows, cols, data } = Fields::from_value(v)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError(format!("{rows}x{cols} matrix with {} entries", data.len())));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -518,6 +536,16 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_round_trips_and_checks_the_data_length() {
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        assert_eq!(Matrix::from_value(&a.to_value()).unwrap(), a);
+        let mut v = a.to_value();
+        let Value::Map(fields) = &mut v else { panic!("a struct serializes as a map") };
+        fields[1].1 = Value::I64(3);
+        assert!(Matrix::from_value(&v).is_err(), "3x3 with six entries must not deserialize");
+    }
 
     #[test]
     fn identity_mat_mul_is_noop() {

@@ -2,16 +2,18 @@
 //!
 //! Defines the on-disk format that lets a model trained in one process
 //! be served by any other (the ROADMAP's "train once, serve many"
-//! unlock). This crate is deliberately **dependency-free**: it knows
-//! nothing about kernels, predictors, or serde — only bytes. The
-//! facade crate (`edm::persist`) layers per-family encoders on top.
+//! unlock). The crate knows nothing about kernels or predictors: a
+//! section payload is one [`serde::Value`] (the in-tree compat serde
+//! data model every model type already derives), written by [`encode`]
+//! and read back by [`decode`]. The facade crate (`edm::persist`) turns
+//! models into values and validates what comes back.
 //!
 //! ## Container layout (all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"EDMM"
-//! 4       2     schema version (u16, currently 1)
+//! 4       2     schema version (u16, currently 2)
 //! 6       2     family tag length F (u16)
 //! 8       F     family tag (UTF-8, e.g. "svc")
 //! 8+F     4     section count S (u32)
@@ -19,7 +21,7 @@
 //!                 2     name length N (u16)
 //!                 N     section name (UTF-8)
 //!                 8     payload length P (u64)
-//!                 P     payload bytes
+//!                 P     payload bytes (one encoded value)
 //!                 4     CRC-32 of the payload
 //! EOF-4   4     file CRC-32 over every preceding byte
 //! ```
@@ -29,27 +31,33 @@
 //! truncation and header damage. Floats are stored via
 //! [`f64::to_bits`], so a save → load round trip is bitwise exact —
 //! the property the workspace proptests pin for all nine `Predictor`
-//! families.
+//! families. The payload encoding is documented on [`encode`]; its
+//! decoder checks every declared length against the bytes left and
+//! caps nesting at [`MAX_DEPTH`], so hostile bytes fail with a typed
+//! error instead of exhausting memory or the stack.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
+
+use serde::Value;
 
 /// The four magic bytes opening every model file.
 pub const MAGIC: [u8; 4] = *b"EDMM";
 
-/// The schema version this crate writes (and the newest it can read).
-pub const SCHEMA_VERSION: u16 = 1;
+/// The schema version this crate writes and the only one it reads.
+/// Version 2 carries one [`encode`]d [`Value`] per section; version 1
+/// (per-family binary codecs) is refused.
+pub const SCHEMA_VERSION: u16 = 2;
 
 /// Hard cap on a single section payload (256 MiB) — a corrupted length
 /// field must not trigger an enormous allocation.
 const MAX_SECTION_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Hard cap on declared element counts inside a payload, used before
-/// `Vec::with_capacity` so a corrupted count fails cleanly instead of
-/// aborting on an over-large allocation.
+/// Hard cap on a declared string, sequence or map length inside a
+/// payload, so a corrupted count fails cleanly.
 const MAX_ELEMS: u64 = 64 * 1024 * 1024;
 
 /// Errors raised while reading or writing a model container.
@@ -61,11 +69,11 @@ pub enum IoError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The file's schema version is newer than this build understands.
+    /// The file's schema version is not the one this build reads.
     UnsupportedVersion {
         /// Version found in the header.
         found: u16,
-        /// Newest version this build reads ([`SCHEMA_VERSION`]).
+        /// The version this build reads ([`SCHEMA_VERSION`]).
         supported: u16,
     },
     /// A section payload failed its CRC-32 check.
@@ -110,7 +118,7 @@ impl fmt::Display for IoError {
                 write!(f, "not a model file: magic {found:?} != {MAGIC:?}")
             }
             IoError::UnsupportedVersion { found, supported } => {
-                write!(f, "model schema version {found} is newer than supported {supported}")
+                write!(f, "model schema version {found} unsupported (this build reads {supported})")
             }
             IoError::SectionChecksum { section, expected, found } => write!(
                 f,
@@ -161,216 +169,114 @@ fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     state
 }
 
-/// An append-only little-endian encode buffer for one section payload.
-#[derive(Debug, Default, Clone)]
-pub struct Enc {
-    buf: Vec<u8>,
+/// Deepest [`Value`] nesting [`encode`] writes and [`decode`] accepts,
+/// counting the root as depth 1. The decoder recurses once per level,
+/// so this bound is what keeps a crafted file from overflowing the
+/// stack; 256 admits decision trees about 125 splits deep.
+pub const MAX_DEPTH: usize = 256;
+
+// One tag byte per `Value` variant opens every encoded value.
+const TAG_NULL: u8 = 0;
+const TAG_BOOL: u8 = 1;
+const TAG_I64: u8 = 2;
+const TAG_U64: u8 = 3;
+const TAG_F64: u8 = 4;
+const TAG_STR: u8 = 5;
+const TAG_SEQ: u8 = 6;
+const TAG_MAP: u8 = 7;
+
+fn malformed(detail: String) -> IoError {
+    IoError::Malformed { detail }
 }
 
-impl Enc {
-    /// Creates an empty payload buffer.
-    pub fn new() -> Self {
-        Enc::default()
-    }
-
-    /// The encoded bytes so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Appends a raw byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as a `u64`.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends an `i32`.
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` bitwise ([`f64::to_bits`]), preserving NaN
-    /// payloads and signed zeros exactly.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// Appends a length-prefixed `f64` slice.
-    pub fn put_f64s(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    /// Appends a length-prefixed `i32` slice.
-    pub fn put_i32s(&mut self, v: &[i32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_i32(x);
-        }
-    }
-
-    /// Appends a row-major rectangular (or ragged) `f64` matrix as a
-    /// row count followed by each row as a length-prefixed slice.
-    pub fn put_rows(&mut self, rows: &[Vec<f64>]) {
-        self.put_usize(rows.len());
-        for r in rows {
-            self.put_f64s(r);
-        }
-    }
+/// Encodes `v` as one section payload: a tag byte per value, then its
+/// payload — `bool` as one byte, integers as 8 bytes LE, `f64` via
+/// [`f64::to_bits`] (NaN payloads and signed zeros survive), strings as
+/// a `u64` LE byte length then UTF-8, sequences and maps as a `u64` LE
+/// element count then each element (map keys are bare strings).
+///
+/// # Errors
+///
+/// [`IoError::Malformed`] if `v` nests deeper than [`MAX_DEPTH`] or a
+/// sequence, map or string is longer than [`decode`] accepts — so every
+/// payload this returns decodes again.
+pub fn encode(v: &Value) -> Result<Vec<u8>, IoError> {
+    let mut out = Vec::new();
+    put_value(&mut out, v, 1)?;
+    Ok(out)
 }
 
-/// A cursor decoding one section payload written by [`Enc`].
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'a str,
+fn put_len(out: &mut Vec<u8>, n: usize) -> Result<(), IoError> {
+    if n as u64 > MAX_ELEMS {
+        return Err(malformed(format!("length {n} exceeds the {MAX_ELEMS} cap")));
+    }
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    Ok(())
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], IoError> {
-        let end = self.pos.checked_add(n).ok_or(IoError::Truncated { context })?;
-        if end > self.buf.len() {
-            return Err(IoError::Truncated { context });
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), IoError> {
+    put_len(out, s.len())?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn put_value(out: &mut Vec<u8>, v: &Value, depth: usize) -> Result<(), IoError> {
+    if depth > MAX_DEPTH {
+        return Err(malformed(format!("value nests deeper than {MAX_DEPTH} levels")));
+    }
+    match v {
+        Value::Null => out.push(TAG_NULL),
+        Value::Bool(b) => out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+        Value::I64(x) => {
+            out.push(TAG_I64);
+            out.extend_from_slice(&x.to_le_bytes());
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails unless the whole payload was consumed — catches encoder /
-    /// decoder drift within a schema version.
-    pub fn finish(self) -> Result<(), IoError> {
-        if self.remaining() != 0 {
-            return Err(IoError::Malformed {
-                detail: format!(
-                    "section {:?} has {} trailing bytes after decode",
-                    self.section,
-                    self.remaining()
-                ),
-            });
+        Value::U64(x) => {
+            out.push(TAG_U64);
+            out.extend_from_slice(&x.to_le_bytes());
         }
-        Ok(())
-    }
-
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, IoError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, IoError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, IoError> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Reads a `usize` (stored as `u64`).
-    pub fn get_usize(&mut self) -> Result<usize, IoError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| IoError::Malformed {
-            detail: format!("length {v} does not fit this platform's usize"),
-        })
-    }
-
-    fn get_count(&mut self, what: &str) -> Result<usize, IoError> {
-        let v = self.get_u64()?;
-        if v > MAX_ELEMS {
-            return Err(IoError::Malformed { detail: format!("{what} count {v} exceeds cap") });
+        Value::F64(x) => {
+            out.push(TAG_F64);
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        Ok(v as usize)
-    }
-
-    /// Reads an `i32`.
-    pub fn get_i32(&mut self) -> Result<i32, IoError> {
-        let b = self.take(4, "i32")?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads an `f64` stored bitwise.
-    pub fn get_f64(&mut self) -> Result<f64, IoError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a bool.
-    pub fn get_bool(&mut self) -> Result<bool, IoError> {
-        Ok(self.get_u8()? != 0)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, IoError> {
-        let n = self.get_count("string byte")?;
-        let b = self.take(n, "string")?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| IoError::Malformed { detail: "string is not UTF-8".into() })
-    }
-
-    /// Reads a length-prefixed `f64` slice.
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, IoError> {
-        let n = self.get_count("f64")?;
-        let mut v = Vec::with_capacity(n.min(MAX_ELEMS as usize));
-        for _ in 0..n {
-            v.push(self.get_f64()?);
+        Value::Str(s) => {
+            out.push(TAG_STR);
+            put_str(out, s)?;
         }
-        Ok(v)
-    }
-
-    /// Reads a length-prefixed `i32` slice.
-    pub fn get_i32s(&mut self) -> Result<Vec<i32>, IoError> {
-        let n = self.get_count("i32")?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.get_i32()?);
+        Value::Seq(items) => {
+            out.push(TAG_SEQ);
+            put_len(out, items.len())?;
+            for item in items {
+                put_value(out, item, depth + 1)?;
+            }
         }
-        Ok(v)
-    }
-
-    /// Reads a matrix written by [`Enc::put_rows`].
-    pub fn get_rows(&mut self) -> Result<Vec<Vec<f64>>, IoError> {
-        let n = self.get_count("row")?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(self.get_f64s()?);
+        Value::Map(entries) => {
+            out.push(TAG_MAP);
+            put_len(out, entries.len())?;
+            for (key, item) in entries {
+                put_str(out, key)?;
+                put_value(out, item, depth + 1)?;
+            }
         }
-        Ok(rows)
     }
+    Ok(())
+}
+
+/// Decodes a payload written by [`encode`].
+///
+/// # Errors
+///
+/// [`IoError::Truncated`] if a value or a declared length runs past the
+/// end of `bytes`; [`IoError::Malformed`] for an unknown tag, a bool
+/// byte other than 0 or 1, non-UTF-8 text, a length over the element
+/// cap, nesting deeper than [`MAX_DEPTH`], or trailing bytes.
+pub fn decode(bytes: &[u8]) -> Result<Value, IoError> {
+    let mut c = Cursor { buf: bytes, pos: 0 };
+    let v = c.get_value(1)?;
+    if c.pos != bytes.len() {
+        return Err(malformed(format!("{} trailing bytes after the value", bytes.len() - c.pos)));
+    }
+    Ok(v)
 }
 
 /// Builds a model container section by section, then serializes it.
@@ -386,14 +292,11 @@ impl ModelWriter {
         ModelWriter { family: family.to_string(), sections: Vec::new() }
     }
 
-    /// Appends a named section with the payload encoded in `enc`.
-    /// Section order is preserved; names must be unique.
-    pub fn add_section(&mut self, name: &str, enc: Enc) {
-        debug_assert!(
-            self.sections.iter().all(|(n, _)| n != name),
-            "duplicate section {name:?}"
-        );
-        self.sections.push((name.to_string(), enc.buf));
+    /// Appends a named section carrying `payload` (an [`encode`]d
+    /// value). Section order is preserved; names must be unique.
+    pub fn add_section(&mut self, name: &str, payload: Vec<u8>) {
+        debug_assert!(self.sections.iter().all(|(n, _)| n != name), "duplicate section {name:?}");
+        self.sections.push((name.to_string(), payload));
     }
 
     /// Serializes the container to `w` (header, sections with per-payload
@@ -471,6 +374,10 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn get_u8(&mut self, context: &'static str) -> Result<u8, IoError> {
+        Ok(self.take(1, context)?[0])
+    }
+
     fn get_u16(&mut self, context: &'static str) -> Result<u16, IoError> {
         let b = self.take(2, context)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
@@ -485,10 +392,69 @@ impl<'a> Cursor<'a> {
         let b = self.take(8, context)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
+
+    /// A declared length, checked against the element cap and against
+    /// the bytes left (every element takes at least one byte).
+    fn get_len(&mut self, context: &'static str) -> Result<usize, IoError> {
+        let n = self.get_u64(context)?;
+        if n > MAX_ELEMS {
+            return Err(malformed(format!("{context} length {n} exceeds the {MAX_ELEMS} cap")));
+        }
+        if n > (self.buf.len() - self.pos) as u64 {
+            return Err(IoError::Truncated { context });
+        }
+        Ok(n as usize)
+    }
+
+    fn get_str(&mut self, context: &'static str) -> Result<String, IoError> {
+        let n = self.get_len(context)?;
+        let b = self.take(n, context)?;
+        String::from_utf8(b.to_vec()).map_err(|_| malformed(format!("{context} is not UTF-8")))
+    }
+
+    fn get_value(&mut self, depth: usize) -> Result<Value, IoError> {
+        if depth > MAX_DEPTH {
+            return Err(malformed(format!("value nests deeper than {MAX_DEPTH} levels")));
+        }
+        // A declared length only bounds the bytes left, not the memory
+        // its elements will need, so preallocate at most this many.
+        const PREALLOC: usize = 1024;
+        let v = match self.get_u8("value tag")? {
+            TAG_NULL => Value::Null,
+            TAG_BOOL => match self.get_u8("bool")? {
+                0 => Value::Bool(false),
+                1 => Value::Bool(true),
+                b => return Err(malformed(format!("bool byte {b}"))),
+            },
+            TAG_I64 => Value::I64(self.get_u64("i64")? as i64),
+            TAG_U64 => Value::U64(self.get_u64("u64")?),
+            TAG_F64 => Value::F64(f64::from_bits(self.get_u64("f64")?)),
+            TAG_STR => Value::Str(self.get_str("string")?),
+            TAG_SEQ => {
+                let n = self.get_len("sequence")?;
+                let mut items = Vec::with_capacity(n.min(PREALLOC));
+                for _ in 0..n {
+                    items.push(self.get_value(depth + 1)?);
+                }
+                Value::Seq(items)
+            }
+            TAG_MAP => {
+                let n = self.get_len("map")?;
+                let mut entries = Vec::with_capacity(n.min(PREALLOC));
+                for _ in 0..n {
+                    let key = self.get_str("map key")?;
+                    entries.push((key, self.get_value(depth + 1)?));
+                }
+                Value::Map(entries)
+            }
+            tag => return Err(malformed(format!("unknown value tag {tag}"))),
+        };
+        Ok(v)
+    }
 }
 
 impl ModelReader {
-    /// Reads and validates a container from `r` (reads to EOF).
+    /// Reads and validates a container from an in-memory byte slice.
     ///
     /// Validation order: magic → schema version → file CRC → per-section
     /// CRCs, so the most fundamental failure is the one reported.
@@ -497,17 +463,6 @@ impl ModelReader {
     ///
     /// Any [`IoError`] variant; see the container layout in the crate
     /// docs for what each protects.
-    pub fn from_reader(r: &mut dyn Read) -> Result<Self, IoError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Reads and validates a container from an in-memory byte slice.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelReader::from_reader`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IoError> {
         let mut c = Cursor { buf: bytes, pos: 0 };
         let magic = c.take(4, "magic")?;
@@ -515,7 +470,7 @@ impl ModelReader {
             return Err(IoError::BadMagic { found: [magic[0], magic[1], magic[2], magic[3]] });
         }
         let version = c.get_u16("schema version")?;
-        if version > SCHEMA_VERSION {
+        if version != SCHEMA_VERSION {
             return Err(IoError::UnsupportedVersion { found: version, supported: SCHEMA_VERSION });
         }
         // Whole-file CRC first: it distinguishes truncation/corruption
@@ -585,21 +540,16 @@ impl ModelReader {
         self.checksum
     }
 
-    /// Names of all sections present, in sorted order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.keys().map(String::as_str)
-    }
-
-    /// Opens a decoding cursor over the named section.
+    /// The named section's checksum-verified payload bytes.
     ///
     /// # Errors
     ///
     /// [`IoError::MissingSection`] if absent.
-    pub fn section(&self, name: &str) -> Result<Dec<'_>, IoError> {
-        match self.sections.get_key_value(name) {
-            Some((k, payload)) => Ok(Dec { buf: payload, pos: 0, section: k }),
-            None => Err(IoError::MissingSection { section: name.to_string() }),
-        }
+    pub fn section(&self, name: &str) -> Result<&[u8], IoError> {
+        self.sections
+            .get(name)
+            .map(Vec::as_slice)
+            .ok_or_else(|| IoError::MissingSection { section: name.to_string() })
     }
 }
 
@@ -614,20 +564,34 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    fn sample_value() -> Value {
+        Value::Map(vec![
+            ("rate".into(), Value::F64(1.5)),
+            ("zero".into(), Value::F64(-0.0)),
+            ("nan".into(), Value::F64(f64::from_bits(0x7FF8_0000_0000_0123))),
+            ("n".into(), Value::I64(-7)),
+            ("big".into(), Value::U64(u64::MAX)),
+            ("name".into(), Value::Str("héllo".into())),
+            ("flags".into(), Value::Seq(vec![Value::Bool(true), Value::Bool(false), Value::Null])),
+            (
+                "rows".into(),
+                Value::Seq(vec![
+                    Value::Seq(vec![Value::F64(1.0), Value::F64(2.0)]),
+                    Value::Seq(vec![]),
+                ]),
+            ),
+        ])
+    }
+
     fn sample_container() -> Vec<u8> {
         let mut w = ModelWriter::new("svc");
-        let mut e = Enc::new();
-        e.put_f64(1.5);
-        e.put_f64(-0.0);
-        e.put_f64(f64::NAN);
-        e.put_usize(7);
-        e.put_str("hello");
-        w.add_section("params", e);
-        let mut m = Enc::new();
-        m.put_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        m.put_i32s(&[-1, 5]);
-        w.add_section("weights", m);
+        w.add_section("params", encode(&sample_value()).unwrap());
+        w.add_section("weights", encode(&Value::Seq(vec![Value::I64(5)])).unwrap());
         w.to_bytes().unwrap()
+    }
+
+    fn nested(depth: usize) -> Value {
+        (1..depth).fold(Value::Null, |inner, _| Value::Seq(vec![inner]))
     }
 
     #[test]
@@ -636,18 +600,58 @@ mod tests {
         let r = ModelReader::from_bytes(&bytes).unwrap();
         assert_eq!(r.family(), "svc");
         assert_eq!(r.version(), SCHEMA_VERSION);
-        let mut d = r.section("params").unwrap();
-        assert_eq!(d.get_f64().unwrap(), 1.5);
-        let neg_zero = d.get_f64().unwrap();
-        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
-        assert!(d.get_f64().unwrap().is_nan());
-        assert_eq!(d.get_usize().unwrap(), 7);
-        assert_eq!(d.get_str().unwrap(), "hello");
-        d.finish().unwrap();
-        let mut d = r.section("weights").unwrap();
-        assert_eq!(d.get_rows().unwrap(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(d.get_i32s().unwrap(), vec![-1, 5]);
-        d.finish().unwrap();
+        let back = decode(r.section("params").unwrap()).unwrap();
+        // `PartialEq` on floats cannot see NaN payloads or the sign of
+        // zero; re-encoding can.
+        assert_eq!(encode(&back).unwrap(), encode(&sample_value()).unwrap());
+        let m = back.as_map().unwrap();
+        assert_eq!(m[1].1, Value::F64(-0.0));
+        assert!(matches!(m[1].1, Value::F64(z) if z.is_sign_negative()));
+        assert!(matches!(m[2].1, Value::F64(x) if x.to_bits() == 0x7FF8_0000_0000_0123));
+        assert_eq!(m[3..], sample_value().as_map().unwrap()[3..]);
+        assert_eq!(decode(r.section("weights").unwrap()).unwrap(), Value::Seq(vec![Value::I64(5)]));
+    }
+
+    #[test]
+    fn depth_cap_is_shared_by_encoder_and_decoder() {
+        let deepest = encode(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(decode(&deepest).unwrap(), nested(MAX_DEPTH));
+        assert!(matches!(encode(&nested(MAX_DEPTH + 1)), Err(IoError::Malformed { .. })));
+        // Hand-built bytes one level deeper than the cap.
+        let mut too_deep = Vec::new();
+        for _ in 0..MAX_DEPTH {
+            too_deep.push(TAG_SEQ);
+            too_deep.extend_from_slice(&1u64.to_le_bytes());
+        }
+        too_deep.push(TAG_NULL);
+        assert!(matches!(decode(&too_deep), Err(IoError::Malformed { .. })));
+    }
+
+    #[test]
+    fn hostile_lengths_and_tags_are_typed_errors() {
+        // A count larger than the bytes left is truncation, not an
+        // allocation; one over the cap is malformed.
+        let mut huge = vec![TAG_SEQ];
+        huge.extend_from_slice(&(MAX_ELEMS - 1).to_le_bytes());
+        assert!(matches!(decode(&huge), Err(IoError::Truncated { .. })));
+        let mut over = vec![TAG_STR];
+        over.extend_from_slice(&(MAX_ELEMS + 1).to_le_bytes());
+        assert!(matches!(decode(&over), Err(IoError::Malformed { .. })));
+        assert!(matches!(decode(&[42]), Err(IoError::Malformed { .. })));
+        assert!(matches!(decode(&[TAG_BOOL, 2]), Err(IoError::Malformed { .. })));
+        assert!(matches!(decode(&[TAG_NULL, TAG_NULL]), Err(IoError::Malformed { .. })));
+        let mut bad_utf8 = vec![TAG_STR];
+        bad_utf8.extend_from_slice(&1u64.to_le_bytes());
+        bad_utf8.push(0xFF);
+        assert!(matches!(decode(&bad_utf8), Err(IoError::Malformed { .. })));
+    }
+
+    #[test]
+    fn every_truncated_payload_fails() {
+        let bytes = encode(&sample_value()).unwrap();
+        for n in 0..bytes.len() {
+            assert!(decode(&bytes[..n]).is_err(), "prefix of {n} bytes must not decode");
+        }
     }
 
     #[test]
@@ -657,21 +661,25 @@ mod tests {
         assert!(matches!(ModelReader::from_bytes(&bytes), Err(IoError::BadMagic { .. })));
     }
 
-    #[test]
-    fn future_version_rejected() {
-        let mut w = ModelWriter::new("svc");
-        w.add_section("params", Enc::new());
-        let mut bytes = w.to_bytes().unwrap();
-        // Bump the version field and re-seal the file CRC so only the
-        // version check can fire.
-        bytes[4] = 0xFF;
+    fn with_version(version: u16) -> Vec<u8> {
+        let mut bytes = sample_container();
+        // Rewrite the version field and re-seal the file CRC so only
+        // the version check can fire.
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
         let n = bytes.len();
         let fixed = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&fixed.to_le_bytes());
-        assert!(matches!(
-            ModelReader::from_bytes(&bytes),
-            Err(IoError::UnsupportedVersion { supported: SCHEMA_VERSION, .. })
-        ));
+        bytes
+    }
+
+    #[test]
+    fn other_versions_rejected() {
+        for version in [1, SCHEMA_VERSION + 1, u16::MAX] {
+            assert!(matches!(
+                ModelReader::from_bytes(&with_version(version)),
+                Err(IoError::UnsupportedVersion { found, supported: SCHEMA_VERSION }) if found == version
+            ));
+        }
     }
 
     #[test]
@@ -685,9 +693,7 @@ mod tests {
     #[test]
     fn flipped_payload_with_resealed_file_crc_fails_section_crc() {
         let mut w = ModelWriter::new("f");
-        let mut e = Enc::new();
-        e.put_f64s(&[1.0, 2.0, 3.0]);
-        w.add_section("data", e);
+        w.add_section("data", encode(&Value::F64(3.0)).unwrap());
         let mut bytes = w.to_bytes().unwrap();
         // Flip one payload byte, then re-seal the outer CRC so the
         // per-section check is what catches it.
@@ -696,10 +702,7 @@ mod tests {
         let n = bytes.len();
         let fixed = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&fixed.to_le_bytes());
-        assert!(matches!(
-            ModelReader::from_bytes(&bytes),
-            Err(IoError::SectionChecksum { .. })
-        ));
+        assert!(matches!(ModelReader::from_bytes(&bytes), Err(IoError::SectionChecksum { .. })));
     }
 
     #[test]
@@ -718,14 +721,6 @@ mod tests {
             r.section("nope"),
             Err(IoError::MissingSection { section }) if section == "nope"
         ));
-    }
-
-    #[test]
-    fn finish_rejects_trailing_bytes() {
-        let r = ModelReader::from_bytes(&sample_container()).unwrap();
-        let mut d = r.section("params").unwrap();
-        let _ = d.get_f64().unwrap();
-        assert!(matches!(d.finish(), Err(IoError::Malformed { .. })));
     }
 
     #[test]

@@ -506,8 +506,9 @@ impl BatchScheduler {
                 Arc::clone(&slot.1)
             }
             None => {
-                let (_, mq) =
-                    queues.entry(name.to_string()).or_insert_with(|| (generation, ModelQueue::new()));
+                let (_, mq) = queues
+                    .entry(name.to_string())
+                    .or_insert_with(|| (generation, ModelQueue::new()));
                 Arc::clone(mq)
             }
         }

@@ -14,7 +14,7 @@
 //! requests for the same model **coalesce** through the
 //! [`batch::BatchScheduler`] into single `predict_batch` calls (bitwise
 //! identical to unbatched scoring), and per-model
-//! [`AdmissionTier`](registry::AdmissionTier) quotas keep one hot model
+//! [`AdmissionTier`] quotas keep one hot model
 //! from starving the rest of the registry.
 //!
 //! Endpoints:

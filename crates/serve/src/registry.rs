@@ -236,7 +236,12 @@ impl ModelRegistry {
     ) -> Result<(), RegistryError> {
         self.insert_entry(
             name,
-            ModelEntry { model, gate: None, loaded_from: Some(loaded_from), checksum: Some(checksum) },
+            ModelEntry {
+                model,
+                gate: None,
+                loaded_from: Some(loaded_from),
+                checksum: Some(checksum),
+            },
         )
     }
 

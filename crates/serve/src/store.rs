@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use edm::model_io::ModelReader;
 use edm::persist::load_predictor_from_bytes;
-use edm::{Error, Predictor, PersistentPredictor};
+use edm::{Error, PersistentPredictor, Predictor};
 
 use crate::registry::{ModelEntry, ModelRegistry, ServedModel};
 

@@ -279,22 +279,6 @@ impl<K: Kernel<[f64]>> OneClassModel<K> {
 }
 
 impl<K> OneClassModel<K> {
-    /// Reassembles a model from its persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist` to reload saved
-    /// models.
-    pub fn from_parts(
-        kernel: K,
-        n_features: usize,
-        support: Vec<Vec<f64>>,
-        coef: Vec<f64>,
-        rho: f64,
-        iterations: usize,
-        cache: CacheStats,
-    ) -> Self {
-        assert_eq!(support.len(), coef.len(), "one coefficient per support vector");
-        OneClassModel { kernel, n_features, support, coef, rho, iterations, cache }
-    }
-
     /// The kernel the model scores with.
     pub fn kernel(&self) -> &K {
         &self.kernel

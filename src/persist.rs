@@ -1,8 +1,9 @@
-//! Save/load for every [`Predictor`](crate::Predictor) family — the
-//! facade layer over [`edm_model_io`]'s binary container.
+//! Save/load for every [`Predictor`] family — the facade layer over
+//! [`edm_model_io`]'s binary container.
 //!
-//! Each family encodes its parts (support vectors, weights, trees, …)
-//! into named container sections; floats travel bitwise
+//! A model is saved as its serde [`Value`] — the same data model the
+//! JSON round trip uses — [`encode`]d into one `model` section, so the
+//! nine families share one codec. Floats travel bitwise
 //! ([`f64::to_bits`]), so `save → load → predict` is bitwise identical
 //! to predicting with the in-memory model (pinned by proptests in
 //! `tests/persist_roundtrip.rs` for all nine families).
@@ -10,25 +11,24 @@
 //! The write side is the object-safe [`PersistentPredictor`] trait: a
 //! `&dyn PersistentPredictor` saves itself with its family tag in the
 //! header. The read side is [`load_predictor`], which dispatches on
-//! that tag through a closed registry — no downcasting anywhere.
-//! Kernel-generic models (`SvcModel<K>` …) reload as
-//! `Model<AnyKernel>`, whose delegated `eval` is bitwise identical to
-//! the concrete kernel's.
+//! that tag through a closed registry — no downcasting anywhere — then
+//! checks what deserialization cannot see (row widths, split features,
+//! kernel parameters), so a loaded model scores without panicking.
+//! Kernel-generic models (`SvcModel<K>` …) are saved with their kernel
+//! as an [`AnyKernel`] and reload as `Model<AnyKernel>`, whose
+//! delegated `eval` is bitwise identical to the concrete kernel's.
 
 use std::io::{Read, Write};
 
-use crate::kernels::{
-    AnyKernel, Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel, RbfKernel,
-    SigmoidKernel,
-};
+use serde::{Deserialize, Serialize, Value};
+
+use crate::kernels::{AnyKernel, Kernel, RbfKernel};
 use crate::learn::forest::RandomForestClassifier;
 use crate::learn::gp::GpRegressor;
 use crate::learn::knn::{KnnClassifier, KnnRegressor};
 use crate::learn::linreg::{LeastSquares, Ridge};
-use crate::learn::tree::{DecisionTreeClassifier, FlatNode};
-use crate::linalg::{Cholesky, Matrix};
-use crate::model_io::{Dec, Enc, IoError, ModelReader, ModelWriter};
-use crate::svm::{CacheStats, OneClassModel, SvcModel, SvrModel};
+use crate::model_io::{decode, encode, IoError, ModelReader, ModelWriter};
+use crate::svm::{OneClassModel, SvcModel, SvrModel};
 use crate::{Error, Predictor};
 
 /// A [`Predictor`] that can serialize itself into the workspace's
@@ -39,12 +39,14 @@ use crate::{Error, Predictor};
 /// to the container header is [`Predictor::name`], which is also the
 /// dispatch key [`load_predictor`] uses.
 pub trait PersistentPredictor: Predictor {
-    /// Serializes the model (header, checksummed sections, file CRC)
+    /// Serializes the model (header, checksummed section, file CRC)
     /// to `w`.
     ///
     /// # Errors
     ///
-    /// [`Error::ModelIo`] if encoding or the underlying writer fails.
+    /// [`Error::ModelIo`] if the writer fails, or if the model nests
+    /// deeper than [`model_io::MAX_DEPTH`](crate::model_io::MAX_DEPTH)
+    /// (a tree too deep to load again).
     fn save(&self, w: &mut dyn Write) -> Result<(), Error>;
 }
 
@@ -71,480 +73,148 @@ impl std::fmt::Debug for LoadedModel {
     }
 }
 
-fn malformed(detail: String) -> Error {
+/// The one section every container carries: the model's encoded value.
+const SECTION: &str = "model";
+
+fn malformed(mut detail: String) -> Error {
+    // Deserialization errors quote the offending value, which can be
+    // a whole support-vector matrix.
+    if detail.len() > 240 {
+        detail.truncate(detail.floor_char_boundary(240));
+        detail.push('…');
+    }
     Error::ModelIo(IoError::Malformed { detail })
 }
 
-// ---- kernel codec -------------------------------------------------------
-
-fn put_kernel(e: &mut Enc, k: &AnyKernel) {
-    e.put_str(k.tag());
-    match k {
-        AnyKernel::Linear(_) | AnyKernel::HistogramIntersection(_) => {}
-        AnyKernel::Poly(p) => {
-            e.put_u32(p.degree());
-            e.put_f64(p.gamma());
-            e.put_f64(p.coef0());
-        }
-        AnyKernel::Rbf(r) => e.put_f64(r.gamma()),
-        AnyKernel::Sigmoid(s) => {
-            e.put_f64(s.gamma());
-            e.put_f64(s.coef0());
-        }
-        AnyKernel::Chi2(c) => e.put_f64(c.gamma()),
-    }
-}
-
-fn get_kernel(d: &mut Dec<'_>) -> Result<AnyKernel, Error> {
-    let tag = d.get_str().map_err(Error::ModelIo)?;
-    let k = match tag.as_str() {
-        "linear" => AnyKernel::Linear(LinearKernel::new()),
-        "hist_intersection" => AnyKernel::HistogramIntersection(HistogramIntersectionKernel::new()),
-        "poly" => {
-            let degree = d.get_u32().map_err(Error::ModelIo)?;
-            let gamma = d.get_f64().map_err(Error::ModelIo)?;
-            let coef0 = d.get_f64().map_err(Error::ModelIo)?;
-            if degree == 0 || !(gamma > 0.0) {
-                return Err(malformed(format!(
-                    "poly kernel with degree {degree}, gamma {gamma}"
-                )));
-            }
-            AnyKernel::Poly(PolyKernel::new(degree, gamma, coef0))
-        }
-        "rbf" => {
-            let gamma = d.get_f64().map_err(Error::ModelIo)?;
-            if !(gamma > 0.0) {
-                return Err(malformed(format!("rbf kernel with gamma {gamma}")));
-            }
-            AnyKernel::Rbf(RbfKernel::new(gamma))
-        }
-        "sigmoid" => {
-            let gamma = d.get_f64().map_err(Error::ModelIo)?;
-            let coef0 = d.get_f64().map_err(Error::ModelIo)?;
-            if !(gamma > 0.0) {
-                return Err(malformed(format!("sigmoid kernel with gamma {gamma}")));
-            }
-            AnyKernel::Sigmoid(SigmoidKernel::new(gamma, coef0))
-        }
-        "chi2" => {
-            let gamma = d.get_f64().map_err(Error::ModelIo)?;
-            if !(gamma > 0.0) {
-                return Err(malformed(format!("chi2 kernel with gamma {gamma}")));
-            }
-            AnyKernel::Chi2(Chi2Kernel::new(gamma))
-        }
-        other => return Err(malformed(format!("unknown kernel tag {other:?}"))),
-    };
-    Ok(k)
-}
-
-fn put_cache_stats(e: &mut Enc, s: CacheStats) {
-    e.put_u64(s.hits);
-    e.put_u64(s.misses);
-    e.put_u64(s.evictions);
-}
-
-fn get_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats, Error> {
-    Ok(CacheStats {
-        hits: d.get_u64().map_err(Error::ModelIo)?,
-        misses: d.get_u64().map_err(Error::ModelIo)?,
-        evictions: d.get_u64().map_err(Error::ModelIo)?,
-    })
-}
-
-fn write_container(
-    family: &str,
-    sections: Vec<(&'static str, Enc)>,
-    w: &mut dyn Write,
-) -> Result<(), Error> {
-    let _span = edm_trace::span("model_io.save");
+fn write_container(family: &str, value: &Value, w: &mut dyn Write) -> Result<(), Error> {
     let mut mw = ModelWriter::new(family);
-    for (name, enc) in sections {
-        mw.add_section(name, enc);
-    }
+    mw.add_section(SECTION, encode(value)?);
     mw.write_to(w).map_err(Error::ModelIo)
 }
 
-// ---- support-vector machines -------------------------------------------
+macro_rules! persistent {
+    ($($model:ty),*) => {$(
+        impl PersistentPredictor for $model {
+            fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
+                let _span = edm_trace::span("model_io.save");
+                write_container(self.name(), &self.to_value(), w)
+            }
+        }
+    )*};
+}
 
-fn put_sv_model(
-    e: &mut Enc,
+persistent!(LeastSquares, Ridge, KnnClassifier, KnnRegressor, RandomForestClassifier);
+
+/// Kernel-generic families store their kernel as an [`AnyKernel`], the
+/// closed type they reload with.
+macro_rules! persistent_kernel_model {
+    ($($model:ident),*) => {$(
+        impl<K> PersistentPredictor for $model<K>
+        where
+            K: Kernel<[f64]> + Clone + Serialize,
+            AnyKernel: From<K>,
+        {
+            fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
+                let _span = edm_trace::span("model_io.save");
+                let mut value = self.to_value();
+                if let Value::Map(fields) = &mut value {
+                    for (name, field) in fields {
+                        if name == "kernel" {
+                            *field = AnyKernel::from(self.kernel().clone()).to_value();
+                        }
+                    }
+                }
+                write_container(self.name(), &value, w)
+            }
+        }
+    )*};
+}
+
+persistent_kernel_model!(SvcModel, SvrModel, OneClassModel, GpRegressor);
+
+/// A family [`load_predictor`] rebuilds: deserialized from the
+/// container's value, then checked for the invariants a fitted model
+/// holds and the derive cannot see.
+trait Loadable: PersistentPredictor + Deserialize + Send + Sync + 'static {
+    /// Fails if scoring the model could panic or read out of bounds.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Loadable for LeastSquares {}
+impl Loadable for Ridge {}
+
+/// One coefficient per support vector, every support vector as wide as
+/// the model, and a kernel its constructor would accept.
+fn validate_svm(
+    kernel: &AnyKernel,
     n_features: usize,
     support: &[Vec<f64>],
     coef: &[f64],
-    rho: f64,
-    complexity: Option<f64>,
-    iterations: usize,
-    cache: CacheStats,
-) {
-    e.put_usize(n_features);
-    e.put_rows(support);
-    e.put_f64s(coef);
-    e.put_f64(rho);
-    if let Some(c) = complexity {
-        e.put_f64(c);
-    }
-    e.put_usize(iterations);
-    put_cache_stats(e, cache);
-}
-
-impl<K> PersistentPredictor for SvcModel<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            Some(self.complexity()),
-            self.iterations(),
-            self.cache_stats(),
-        );
-        write_container("svc", vec![("kernel", ke), ("model", me)], w)
-    }
-}
-
-fn load_svc(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let support = d.get_rows().map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let complexity = d.get_f64().map_err(Error::ModelIo)?;
-    let iterations = d.get_usize().map_err(Error::ModelIo)?;
-    let cache = get_cache_stats(&mut d)?;
-    d.finish().map_err(Error::ModelIo)?;
+) -> Result<(), String> {
+    kernel.check()?;
     if support.len() != coef.len() {
-        return Err(malformed("support/coefficient length mismatch".into()));
+        return Err(format!("{} support vectors but {} coefficients", support.len(), coef.len()));
     }
-    Ok(Box::new(SvcModel::from_parts(
-        kernel, n_features, support, coef, rho, complexity, iterations, cache,
-    )))
-}
-
-impl<K> PersistentPredictor for SvrModel<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            Some(self.complexity()),
-            self.iterations(),
-            self.cache_stats(),
-        );
-        write_container("svr", vec![("kernel", ke), ("model", me)], w)
+    match support.iter().find(|sv| sv.len() != n_features) {
+        Some(sv) => {
+            Err(format!("support vector of width {} in a {n_features}-feature model", sv.len()))
+        }
+        None => Ok(()),
     }
 }
 
-fn load_svr(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let support = d.get_rows().map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let complexity = d.get_f64().map_err(Error::ModelIo)?;
-    let iterations = d.get_usize().map_err(Error::ModelIo)?;
-    let cache = get_cache_stats(&mut d)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if support.len() != coef.len() {
-        return Err(malformed("support/coefficient length mismatch".into()));
-    }
-    Ok(Box::new(SvrModel::from_parts(
-        kernel, n_features, support, coef, rho, complexity, iterations, cache,
-    )))
-}
-
-impl<K> PersistentPredictor for OneClassModel<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            None,
-            self.iterations(),
-            self.cache_stats(),
-        );
-        write_container("one_class_svm", vec![("kernel", ke), ("model", me)], w)
-    }
-}
-
-fn load_one_class(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let support = d.get_rows().map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let iterations = d.get_usize().map_err(Error::ModelIo)?;
-    let cache = get_cache_stats(&mut d)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if support.len() != coef.len() {
-        return Err(malformed("support/coefficient length mismatch".into()));
-    }
-    Ok(Box::new(OneClassModel::from_parts(
-        kernel, n_features, support, coef, rho, iterations, cache,
-    )))
-}
-
-// ---- linear models ------------------------------------------------------
-
-impl PersistentPredictor for LeastSquares {
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut e = Enc::new();
-        e.put_f64s(self.coefficients());
-        e.put_f64(self.intercept());
-        write_container("least_squares", vec![("model", e)], w)
-    }
-}
-
-fn load_least_squares(
-    r: &ModelReader,
-) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let intercept = d.get_f64().map_err(Error::ModelIo)?;
-    d.finish().map_err(Error::ModelIo)?;
-    Ok(Box::new(LeastSquares::from_parts(coef, intercept)))
-}
-
-impl PersistentPredictor for Ridge {
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut e = Enc::new();
-        e.put_f64s(self.coefficients());
-        e.put_f64(self.intercept());
-        e.put_f64(self.lambda());
-        write_container("ridge", vec![("model", e)], w)
-    }
-}
-
-fn load_ridge(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let intercept = d.get_f64().map_err(Error::ModelIo)?;
-    let lambda = d.get_f64().map_err(Error::ModelIo)?;
-    d.finish().map_err(Error::ModelIo)?;
-    Ok(Box::new(Ridge::from_parts(coef, intercept, lambda)))
-}
-
-// ---- Gaussian process ---------------------------------------------------
-
-impl<K> PersistentPredictor for GpRegressor<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        me.put_rows(self.training_x());
-        me.put_f64s(self.alpha());
-        me.put_f64(self.y_mean());
-        me.put_f64(self.noise());
-        let mut ce = Enc::new();
-        let l = self.cholesky().l();
-        let rows: Vec<Vec<f64>> = (0..l.rows()).map(|i| l.row(i).to_vec()).collect();
-        ce.put_rows(&rows);
-        write_container("gp_regressor", vec![("kernel", ke), ("model", me), ("chol", ce)], w)
-    }
-}
-
-fn load_gp(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let x = d.get_rows().map_err(Error::ModelIo)?;
-    let alpha = d.get_f64s().map_err(Error::ModelIo)?;
-    let y_mean = d.get_f64().map_err(Error::ModelIo)?;
-    let noise = d.get_f64().map_err(Error::ModelIo)?;
-    d.finish().map_err(Error::ModelIo)?;
-    let mut cd = r.section("chol").map_err(Error::ModelIo)?;
-    let l_rows = cd.get_rows().map_err(Error::ModelIo)?;
-    cd.finish().map_err(Error::ModelIo)?;
-    if x.len() != alpha.len() || l_rows.len() != x.len() {
-        return Err(malformed("GP training-set/alpha/Cholesky size mismatch".into()));
-    }
-    if l_rows.iter().any(|row| row.len() != l_rows.len()) {
-        return Err(malformed("GP Cholesky factor is not square".into()));
-    }
-    let chol = Cholesky::from_factor(Matrix::from_rows(&l_rows));
-    Ok(Box::new(GpRegressor::from_parts(kernel, x, alpha, chol, y_mean, noise)))
-}
-
-// ---- nearest neighbors --------------------------------------------------
-
-impl PersistentPredictor for KnnClassifier {
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut e = Enc::new();
-        e.put_usize(self.k());
-        e.put_rows(self.training_x());
-        e.put_i32s(self.training_y());
-        e.put_bool(self.is_weighted());
-        write_container("knn_classifier", vec![("model", e)], w)
-    }
-}
-
-fn load_knn_classifier(
-    r: &ModelReader,
-) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let k = d.get_usize().map_err(Error::ModelIo)?;
-    let x = d.get_rows().map_err(Error::ModelIo)?;
-    let y = d.get_i32s().map_err(Error::ModelIo)?;
-    let weighted = d.get_bool().map_err(Error::ModelIo)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if k == 0 || x.is_empty() || x.len() != y.len() {
-        return Err(malformed("knn classifier with empty or mismatched training set".into()));
-    }
-    Ok(Box::new(KnnClassifier::from_parts(k, x, y, weighted)))
-}
-
-impl PersistentPredictor for KnnRegressor {
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut e = Enc::new();
-        e.put_usize(self.k());
-        e.put_rows(self.training_x());
-        e.put_f64s(self.training_y());
-        write_container("knn_regressor", vec![("model", e)], w)
-    }
-}
-
-fn load_knn_regressor(
-    r: &ModelReader,
-) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let k = d.get_usize().map_err(Error::ModelIo)?;
-    let x = d.get_rows().map_err(Error::ModelIo)?;
-    let y = d.get_f64s().map_err(Error::ModelIo)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if k == 0 || x.is_empty() || x.len() != y.len() {
-        return Err(malformed("knn regressor with empty or mismatched training set".into()));
-    }
-    Ok(Box::new(KnnRegressor::from_parts(k, x, y)))
-}
-
-// ---- random forest ------------------------------------------------------
-
-const NODE_LEAF: u8 = 0;
-const NODE_SPLIT: u8 = 1;
-
-fn put_tree(e: &mut Enc, tree: &DecisionTreeClassifier) {
-    let nodes = tree.flatten();
-    e.put_usize(nodes.len());
-    for node in &nodes {
-        match node {
-            FlatNode::Leaf { value, counts } => {
-                e.put_u8(NODE_LEAF);
-                e.put_f64(*value);
-                e.put_usize(counts.len());
-                for &(label, count) in counts {
-                    e.put_i32(label);
-                    e.put_u64(count as u64);
-                }
-            }
-            FlatNode::Split { feature, threshold } => {
-                e.put_u8(NODE_SPLIT);
-                e.put_usize(*feature);
-                e.put_f64(*threshold);
+macro_rules! loadable_svm {
+    ($($model:ident),*) => {$(
+        impl Loadable for $model<AnyKernel> {
+            fn validate(&self) -> Result<(), String> {
+                validate_svm(
+                    self.kernel(),
+                    self.n_features(),
+                    self.support_vectors(),
+                    self.coefficients(),
+                )
             }
         }
+    )*};
+}
+
+loadable_svm!(SvcModel, SvrModel, OneClassModel);
+
+impl Loadable for GpRegressor<AnyKernel> {
+    fn validate(&self) -> Result<(), String> {
+        self.kernel().check()?;
+        self.check().map_err(|e| e.to_string())
     }
 }
 
-fn get_tree(d: &mut Dec<'_>) -> Result<DecisionTreeClassifier, Error> {
-    let n = d.get_usize().map_err(Error::ModelIo)?;
-    let mut nodes = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let tag = d.get_u8().map_err(Error::ModelIo)?;
-        match tag {
-            NODE_LEAF => {
-                let value = d.get_f64().map_err(Error::ModelIo)?;
-                let n_counts = d.get_usize().map_err(Error::ModelIo)?;
-                let mut counts = Vec::with_capacity(n_counts.min(1 << 20));
-                for _ in 0..n_counts {
-                    let label = d.get_i32().map_err(Error::ModelIo)?;
-                    let count = d.get_u64().map_err(Error::ModelIo)?;
-                    counts.push((label, count as usize));
-                }
-                nodes.push(FlatNode::Leaf { value, counts });
+macro_rules! loadable_checked {
+    ($($model:ty),*) => {$(
+        impl Loadable for $model {
+            fn validate(&self) -> Result<(), String> {
+                self.check().map_err(|e| e.to_string())
             }
-            NODE_SPLIT => {
-                let feature = d.get_usize().map_err(Error::ModelIo)?;
-                let threshold = d.get_f64().map_err(Error::ModelIo)?;
-                nodes.push(FlatNode::Split { feature, threshold });
-            }
-            other => return Err(malformed(format!("unknown tree node tag {other}"))),
         }
-    }
-    DecisionTreeClassifier::from_flat(&nodes)
-        .map_err(|e| malformed(format!("invalid flattened tree: {e}")))
+    )*};
 }
 
-impl PersistentPredictor for RandomForestClassifier {
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut e = Enc::new();
-        e.put_usize(Predictor::n_features(self));
-        e.put_usize(self.trees().len());
-        for tree in self.trees() {
-            put_tree(&mut e, tree);
-        }
-        write_container("random_forest", vec![("model", e)], w)
-    }
-}
+loadable_checked!(KnnClassifier, KnnRegressor, RandomForestClassifier);
 
-fn load_forest(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let n_trees = d.get_usize().map_err(Error::ModelIo)?;
-    let mut trees = Vec::with_capacity(n_trees.min(1 << 16));
-    for _ in 0..n_trees {
-        trees.push(get_tree(&mut d)?);
-    }
-    d.finish().map_err(Error::ModelIo)?;
-    if trees.is_empty() {
-        return Err(malformed("forest with zero trees".into()));
-    }
-    Ok(Box::new(RandomForestClassifier::from_parts(trees, n_features)))
+type Loader = fn(&Value) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error>;
+
+fn load_as<M: Loadable>(
+    value: &Value,
+) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
+    let model = M::from_value(value).map_err(|e| malformed(e.0))?;
+    model.validate().map_err(|detail| malformed(format!("{}: {detail}", model.name())))?;
+    Ok(Box::new(model))
 }
 
 // ---- registry-dispatched load ------------------------------------------
 
 /// The family tags [`load_predictor`] dispatches on, in registry order —
-/// exactly the nine [`Predictor`](crate::Predictor) families.
+/// exactly the nine [`Predictor`] families.
 pub const FAMILIES: [&str; 9] = [
     "svc",
     "svr",
@@ -564,7 +234,9 @@ pub const FAMILIES: [&str; 9] = [
 ///
 /// [`Error::ModelIo`] for container-level failures (bad magic,
 /// unsupported schema version, checksum mismatch, truncation, missing
-/// sections, unknown family) or structurally impossible payloads.
+/// section, unknown family), and [`IoError::Malformed`] for a payload
+/// that does not decode, nests too deep, or describes a model no fit
+/// could produce (see the family checks in DESIGN.md §14).
 pub fn load_predictor(r: &mut dyn Read) -> Result<LoadedModel, Error> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes).map_err(|e| Error::ModelIo(IoError::Io(e)))?;
@@ -578,21 +250,20 @@ pub fn load_predictor(r: &mut dyn Read) -> Result<LoadedModel, Error> {
 /// As for [`load_predictor`].
 pub fn load_predictor_from_bytes(bytes: &[u8]) -> Result<LoadedModel, Error> {
     let _span = edm_trace::span("model_io.load");
-    let reader = ModelReader::from_bytes(bytes).map_err(Error::ModelIo)?;
-    let model = match reader.family() {
-        "svc" => load_svc(&reader)?,
-        "svr" => load_svr(&reader)?,
-        "one_class_svm" => load_one_class(&reader)?,
-        "least_squares" => load_least_squares(&reader)?,
-        "ridge" => load_ridge(&reader)?,
-        "gp_regressor" => load_gp(&reader)?,
-        "knn_classifier" => load_knn_classifier(&reader)?,
-        "knn_regressor" => load_knn_regressor(&reader)?,
-        "random_forest" => load_forest(&reader)?,
-        other => {
-            return Err(malformed(format!("unknown model family {other:?}")));
-        }
+    let reader = ModelReader::from_bytes(bytes)?;
+    let load: Loader = match reader.family() {
+        "svc" => load_as::<SvcModel<AnyKernel>>,
+        "svr" => load_as::<SvrModel<AnyKernel>>,
+        "one_class_svm" => load_as::<OneClassModel<AnyKernel>>,
+        "least_squares" => load_as::<LeastSquares>,
+        "ridge" => load_as::<Ridge>,
+        "gp_regressor" => load_as::<GpRegressor<AnyKernel>>,
+        "knn_classifier" => load_as::<KnnClassifier>,
+        "knn_regressor" => load_as::<KnnRegressor>,
+        "random_forest" => load_as::<RandomForestClassifier>,
+        other => return Err(malformed(format!("unknown model family {other:?}"))),
     };
+    let model = load(&decode(reader.section(SECTION)?)?)?;
     Ok(LoadedModel { model, checksum: reader.checksum(), version: reader.version() })
 }
 
@@ -600,7 +271,7 @@ pub fn load_predictor_from_bytes(bytes: &[u8]) -> Result<LoadedModel, Error> {
 /// hyperparameters — the refit primitive behind `edm-serve`'s
 /// `POST /v1/models/{name}:train`.
 ///
-/// Label conventions follow [`Predictor`](crate::Predictor):
+/// Label conventions follow [`Predictor`]:
 /// classifiers cast `y` to integer labels (SVC wants `±1.0`), the
 /// one-class family ignores `y` entirely, and regressors take `y` as
 /// given. Training is deterministic (the forest uses a fixed seed).
