@@ -41,13 +41,13 @@
 //! worth ~1.2× at n = 8000 — not the multiples a memory-bound loop
 //! would show, because the sample set (2 MB) never leaves cache.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 #[allow(deprecated)]
 use edm_kernels::gram_matrix_rows;
 use edm_kernels::{gram_matrix, RbfKernel};
 use edm_svm::{SvcParams, SvcTrainer};
+use serde::Serialize;
 
 const DIM: usize = 32;
 const GAMMA: f64 = 0.5;
@@ -154,30 +154,54 @@ fn time_interleaved_ms<T>(rounds: usize, variants: &mut [&mut dyn FnMut() -> T])
     best
 }
 
+/// `BENCH_kernel_compute.json`.
+#[derive(Serialize)]
+struct Report {
+    config: Config,
+    gram_build: Vec<GramRow>,
+    tile_sweep: Vec<TileRow>,
+    svc_train_serial: Vec<SvcRow>,
+    /// A map rather than a struct: one claim's key names the largest n.
+    claims: serde::Value,
+}
+
+#[derive(Serialize)]
+struct Config {
+    d: usize,
+    kernel: &'static str,
+    gamma: f64,
+    host_cores: usize,
+    parallel_threads: usize,
+    parallel_feature: bool,
+    quick: bool,
+}
+
+#[derive(Serialize)]
 struct GramRow {
     n: usize,
     seed_serial_ms: f64,
     serial_ms: f64,
     parallel_ms: f64,
+    /// Production path (tiled, parallel) vs what the repo used to ship.
+    speedup: f64,
+    /// Tiling alone, threads held at one.
+    tiled_vs_seed: f64,
     bitwise_identical: bool,
 }
 
-impl GramRow {
-    /// Production path (tiled, parallel) vs what the repo used to ship.
-    fn speedup(&self) -> f64 {
-        self.seed_serial_ms / self.parallel_ms
-    }
-
-    /// Tiling alone, threads held at one.
-    fn tiled_vs_seed(&self) -> f64 {
-        self.seed_serial_ms / self.serial_ms
-    }
+#[derive(Serialize)]
+struct TileRow {
+    n: usize,
+    block: &'static str,
+    serial_ms: f64,
 }
 
+#[derive(Serialize)]
 struct SvcRow {
     n: usize,
     cache_on_ms: f64,
     cache_off_ms: f64,
+    cache_win: f64,
     iterations: usize,
 }
 
@@ -242,6 +266,8 @@ fn main() {
             seed_serial_ms,
             serial_ms,
             parallel_ms,
+            speedup: seed_serial_ms / parallel_ms,
+            tiled_vs_seed: seed_serial_ms / serial_ms,
             bitwise_identical: sum_seed.is_some()
                 && sum_seed == sum_serial
                 && sum_serial == sum_par,
@@ -249,8 +275,7 @@ fn main() {
         println!(
             "gram n={n:5}: seed {seed_serial_ms:9.2} ms | tiled {serial_ms:9.2} ms | \
              {par_threads} threads {parallel_ms:9.2} ms | speedup {:.2}x | bitwise identical: {}",
-            row.speedup(),
-            row.bitwise_identical
+            row.speedup, row.bitwise_identical
         );
         assert!(row.bitwise_identical, "tiled gram diverged from the seed builder");
         gram_rows.push(row);
@@ -267,7 +292,7 @@ fn main() {
         let (ms, g) = time_ms(3, || gram_matrix(&sweep_k, &sweep_pts));
         drop(g);
         println!("tile sweep n={sweep_n}: EDM_BLOCK={block:8} {ms:9.2} ms");
-        tile_rows.push((block, ms));
+        tile_rows.push(TileRow { n: sweep_n, block, serial_ms: ms });
     }
     std::env::remove_var("EDM_BLOCK");
 
@@ -295,92 +320,53 @@ fn main() {
         let (cache_on_ms, cache_off_ms) = (best[0], best[1]);
         let iterations = iters_on.expect("warmup ran");
         assert_eq!(Some(iterations), iters_off, "cache changed the optimization trajectory");
-        let row = SvcRow { n, cache_on_ms, cache_off_ms, iterations };
+        let cache_win = cache_off_ms / cache_on_ms;
+        let row = SvcRow { n, cache_on_ms, cache_off_ms, cache_win, iterations };
         println!(
             "svc  n={n:5}: cache on {cache_on_ms:9.2} ms | cache off {cache_off_ms:9.2} ms \
-             | win {:.2}x | {} iterations",
-            row.cache_off_ms / row.cache_on_ms,
-            row.iterations
+             | win {cache_win:.2}x | {iterations} iterations"
         );
         svc_rows.push(row);
     }
 
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(
-        j,
-        "  \"config\": {{\"d\": {DIM}, \"kernel\": \"rbf\", \"gamma\": {GAMMA}, \
-         \"host_cores\": {host_cores}, \"parallel_threads\": {par_threads}, \
-         \"parallel_feature\": {}, \"quick\": {quick}}},",
-        edm_par::parallel_enabled()
-    );
-    let _ = writeln!(j, "  \"gram_build\": [");
-    for (i, r) in gram_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"n\": {}, \"seed_serial_ms\": {:.3}, \"serial_ms\": {:.3}, \
-             \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \"tiled_vs_seed\": {:.3}, \
-             \"bitwise_identical\": {}}}{}",
-            r.n,
-            r.seed_serial_ms,
-            r.serial_ms,
-            r.parallel_ms,
-            r.speedup(),
-            r.tiled_vs_seed(),
-            r.bitwise_identical,
-            if i + 1 < gram_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"tile_sweep\": [");
-    for (i, (block, ms)) in tile_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"n\": {sweep_n}, \"block\": \"{block}\", \"serial_ms\": {ms:.3}}}{}",
-            if i + 1 < tile_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"svc_train_serial\": [");
-    for (i, r) in svc_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"n\": {}, \"cache_on_ms\": {:.3}, \"cache_off_ms\": {:.3}, \
-             \"cache_win\": {:.3}, \"iterations\": {}}}{}",
-            r.n,
-            r.cache_on_ms,
-            r.cache_off_ms,
-            r.cache_off_ms / r.cache_on_ms,
-            r.iterations,
-            if i + 1 < svc_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let min_speedup = gram_rows.iter().map(GramRow::speedup).fold(f64::INFINITY, f64::min);
-    let largest = gram_rows.last().expect("at least one size");
-    let cache_win =
-        svc_rows.iter().map(|r| r.cache_off_ms / r.cache_on_ms).fold(f64::NEG_INFINITY, f64::max);
-    let _ = writeln!(j, "  \"claims\": {{");
-    let _ = writeln!(j, "    \"gram_min_speedup_vs_seed\": {min_speedup:.3},");
-    let _ = writeln!(j, "    \"gram_speedup_at_largest_n\": {:.3},", largest.speedup());
-    let _ = writeln!(j, "    \"gram_speedup_gt_1_at_every_n\": {},", min_speedup > 1.0);
-    let _ = writeln!(
-        j,
-        "    \"gram_tiled_serial_vs_seed_n{}\": {:.3},",
-        largest.n,
-        largest.tiled_vs_seed()
-    );
-    let _ = writeln!(j, "    \"best_svc_cache_win\": {cache_win:.3},");
-    let _ = writeln!(j, "    \"svc_cache_win_ge_1\": {},", cache_win > 1.0);
-    let _ = writeln!(
-        j,
-        "    \"note\": \"interleaved best-of-k wall times on this host; seed_serial_ms is the \
-         pre-rework row-sharded builder at one thread, parallel_threads is clamped to \
-         host_cores, so on small hosts the speedup column isolates cache blocking rather than \
-         thread scaling\""
-    );
-    let _ = writeln!(j, "  }}");
-    let _ = writeln!(j, "}}");
+    let min_speedup = gram_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
+    let cache_win = svc_rows.iter().map(|r| r.cache_win).fold(f64::NEG_INFINITY, f64::max);
+    let (largest_n, largest_speedup, largest_tiled_vs_seed) = {
+        let largest = gram_rows.last().expect("at least one size");
+        (largest.n, largest.speedup, largest.tiled_vs_seed)
+    };
+    let claims = serde::Value::Map(vec![
+        ("gram_min_speedup_vs_seed".into(), min_speedup.to_value()),
+        ("gram_speedup_at_largest_n".into(), largest_speedup.to_value()),
+        ("gram_speedup_gt_1_at_every_n".into(), (min_speedup > 1.0).to_value()),
+        (format!("gram_tiled_serial_vs_seed_n{largest_n}"), largest_tiled_vs_seed.to_value()),
+        ("best_svc_cache_win".into(), cache_win.to_value()),
+        ("svc_cache_win_ge_1".into(), (cache_win > 1.0).to_value()),
+        (
+            "note".into(),
+            "interleaved best-of-k wall times on this host; seed_serial_ms is the pre-rework \
+             row-sharded builder at one thread, parallel_threads is clamped to host_cores, so \
+             on small hosts the speedup column isolates cache blocking rather than thread \
+             scaling"
+                .to_value(),
+        ),
+    ]);
+    let report = Report {
+        config: Config {
+            d: DIM,
+            kernel: "rbf",
+            gamma: GAMMA,
+            host_cores,
+            parallel_threads: par_threads,
+            parallel_feature: edm_par::parallel_enabled(),
+            quick,
+        },
+        gram_build: gram_rows,
+        tile_sweep: tile_rows,
+        svc_train_serial: svc_rows,
+        claims,
+    };
+    let j = serde_json::to_string(&report).expect("report serializes");
 
     std::fs::write("BENCH_kernel_compute.json", &j).expect("write BENCH_kernel_compute.json");
     println!("\nwrote BENCH_kernel_compute.json");
@@ -399,10 +385,10 @@ fn main() {
         );
     } else {
         assert!(
-            largest.speedup() > 1.0,
+            largest_speedup > 1.0,
             "tiled+parallel gram at n={} no faster than the seed baseline ({:.3}x)",
-            largest.n,
-            largest.speedup()
+            largest_n,
+            largest_speedup
         );
         assert!(
             min_speedup >= 0.9,
@@ -410,11 +396,11 @@ fn main() {
              (min speedup {min_speedup:.3}, floor 0.9)"
         );
         assert!(
-            largest.tiled_vs_seed() >= 1.1,
+            largest_tiled_vs_seed >= 1.1,
             "tiled serial gram at n={} is only {:.3}x the seed baseline (need >= 1.1x; \
              the eval-bound ceiling at d=32 is ~1.2-1.3x, see the module docs)",
-            largest.n,
-            largest.tiled_vs_seed()
+            largest_n,
+            largest_tiled_vs_seed
         );
     }
 }

@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use edm::prelude::*;
 use edm_serve::json::{self, Value};
 use edm_serve::{AdmissionTier, ModelRegistry, Server, ServerConfig};
+use serde::Serialize;
 
 const DIM: usize = 8;
 const TRAIN_N: usize = 240;
@@ -348,6 +349,7 @@ fn run_pipelined_closed_loop(
 /// One open-loop sweep step at `offered_rps` across `conns` pipelined
 /// keep-alive connections for ~`duration`. Latency is measured from the
 /// scheduled send time.
+#[derive(Serialize)]
 struct OpenLoopStep {
     offered_rps: f64,
     achieved_rps: f64,
@@ -355,6 +357,134 @@ struct OpenLoopStep {
     sent: usize,
     p50_ms: f64,
     p99_ms: f64,
+}
+
+/// `BENCH_serve.json`.
+#[derive(Serialize)]
+struct Report {
+    config: Config,
+    baseline: Baseline,
+    closed_loop: ClosedLoopReport,
+    open_loop: OpenLoopReport,
+    batching: Batching,
+    tiers: Tiers,
+    telemetry: Telemetry,
+    backpressure: Backpressure,
+    claims: Claims,
+}
+
+#[derive(Serialize)]
+struct Config {
+    d: usize,
+    batch_rows: usize,
+    clients: usize,
+    keepalive_requests: usize,
+    legacy_requests: usize,
+    burst: usize,
+    quick: bool,
+    host_cores: usize,
+}
+
+#[derive(Serialize)]
+struct Baseline {
+    pr7_sustained_rps: f64,
+}
+
+#[derive(Serialize)]
+struct ClosedLoopReport {
+    keepalive: Keepalive,
+    pipelined_keepalive: Pipelined,
+    legacy_connection_per_request: Legacy,
+}
+
+#[derive(Serialize)]
+struct Keepalive {
+    sustained_rps: f64,
+    rows_per_s: f64,
+    p50_latency_ms: f64,
+    p99_latency_ms: f64,
+    completed: usize,
+    speedup_vs_pr7: f64,
+}
+
+#[derive(Serialize)]
+struct Pipelined {
+    window: usize,
+    connections: usize,
+    sustained_rps: f64,
+    rows_per_s: f64,
+    completed: usize,
+    speedup_vs_pr7: f64,
+}
+
+#[derive(Serialize)]
+struct Legacy {
+    sustained_rps: f64,
+    connect_p50_ms: f64,
+    connect_p99_ms: f64,
+    request_p50_ms: f64,
+    request_p99_ms: f64,
+    completed: usize,
+}
+
+#[derive(Serialize)]
+struct OpenLoopReport {
+    sweep: Vec<OpenLoopStep>,
+    knee_rps: f64,
+    knee_criterion: &'static str,
+}
+
+/// Counters scraped from `/metrics` (integral values).
+#[derive(Serialize)]
+struct Batching {
+    flushes: u64,
+    coalesced_batches: u64,
+    coalesced_requests: u64,
+    batch_rows_max: u64,
+    trace_flush_probe_seen: bool,
+}
+
+#[derive(Serialize)]
+struct Tiers {
+    hot_requests: usize,
+    hot_ok: usize,
+    hot_rejected_503: usize,
+    quiet_requests: usize,
+    quiet_ok: usize,
+    tier_rejected_total: u64,
+}
+
+#[derive(Serialize)]
+struct Telemetry {
+    client_p50_ms: f64,
+    client_p99_ms: f64,
+    server_p50_ms: f64,
+    server_p99_ms: f64,
+    server_latency_count: u64,
+    mid_run_scrape_ok: bool,
+    latency_cross_check: bool,
+    trace_endpoint_ok: bool,
+}
+
+#[derive(Serialize)]
+struct Backpressure {
+    burst: usize,
+    served: usize,
+    rejected_503: usize,
+    unexpected_statuses: usize,
+}
+
+#[derive(Serialize)]
+struct Claims {
+    bitwise_identical_over_http: bool,
+    openmetrics_eof_framing: bool,
+    backpressure_503_seen: bool,
+    open_loop_knee_found: bool,
+    coalescing_observed: bool,
+    tier_isolation_observed: bool,
+    keepalive_speedup_x: f64,
+    keepalive_5x_vs_pr7: bool,
+    note: String,
 }
 
 fn run_open_loop_step(
@@ -699,7 +829,7 @@ fn main() {
     let trace_endpoint_ok = trace_status == 200
         && json::parse(&trace_body).ok().is_some_and(|doc| doc.get("level").is_some());
     claims.push(edm_bench::claim(
-        "/v1/trace returns a live report our own JSON parser accepts",
+        "/v1/trace returns a live report the workspace JSON parser accepts",
         trace_endpoint_ok,
     ));
     let (models_status, _) = get(addr, "/v1/models");
@@ -871,108 +1001,99 @@ fn main() {
     ));
 
     // --- manifest --------------------------------------------------
-    use std::fmt::Write as _;
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(
-        j,
-        "  \"config\": {{\"d\": {DIM}, \"batch_rows\": {BATCH}, \"clients\": {CLIENTS}, \
-         \"keepalive_requests\": {ka_total}, \"legacy_requests\": {legacy_requests}, \
-         \"burst\": {burst}, \"quick\": {quick}, \"host_cores\": {}}},",
-        std::thread::available_parallelism().map_or(1, |c| c.get())
-    );
-    let _ = writeln!(j, "  \"baseline\": {{\"pr7_sustained_rps\": {PR7_BASELINE_RPS}}},");
-    let _ = writeln!(j, "  \"closed_loop\": {{");
-    let _ = writeln!(j, "    \"keepalive\": {{");
-    let _ = writeln!(j, "      \"sustained_rps\": {sustained_rps:.1},");
-    let _ = writeln!(j, "      \"rows_per_s\": {rows_per_s:.1},");
-    let _ = writeln!(j, "      \"p50_latency_ms\": {p50_ms:.3},");
-    let _ = writeln!(j, "      \"p99_latency_ms\": {p99_ms:.3},");
-    let _ = writeln!(j, "      \"completed\": {ka_ok},");
-    let _ = writeln!(j, "      \"speedup_vs_pr7\": {speedup:.2}");
-    let _ = writeln!(j, "    }},");
-    let _ = writeln!(j, "    \"pipelined_keepalive\": {{");
-    let _ = writeln!(j, "      \"window\": {PIPELINE_WINDOW},");
-    let _ = writeln!(j, "      \"connections\": {pipe_conns},");
-    let _ = writeln!(j, "      \"sustained_rps\": {pipelined_rps:.1},");
-    let _ = writeln!(j, "      \"rows_per_s\": {:.1},", pipelined_rps * BATCH as f64);
-    let _ = writeln!(j, "      \"completed\": {pipe_ok},");
-    let _ = writeln!(j, "      \"speedup_vs_pr7\": {pipe_speedup:.2}");
-    let _ = writeln!(j, "    }},");
-    let _ = writeln!(j, "    \"legacy_connection_per_request\": {{");
-    let _ = writeln!(j, "      \"sustained_rps\": {legacy_rps:.1},");
-    let _ = writeln!(j, "      \"connect_p50_ms\": {connect_p50:.3},");
-    let _ = writeln!(j, "      \"connect_p99_ms\": {connect_p99:.3},");
-    let _ = writeln!(j, "      \"request_p50_ms\": {req_p50:.3},");
-    let _ = writeln!(j, "      \"request_p99_ms\": {req_p99:.3},");
-    let _ = writeln!(j, "      \"completed\": {legacy_ok}");
-    let _ = writeln!(j, "    }}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"open_loop\": {{");
-    let _ = writeln!(j, "    \"sweep\": [");
-    for (i, s) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "      {{\"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \"delivered\": {}, \
-             \"sent\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{comma}",
-            s.offered_rps, s.achieved_rps, s.delivered, s.sent, s.p50_ms, s.p99_ms
-        );
-    }
-    let _ = writeln!(j, "    ],");
-    let _ = writeln!(j, "    \"knee_rps\": {knee_rps:.1},");
-    let _ = writeln!(j, "    \"knee_criterion\": \"achieved >= 0.95 * offered\"");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"batching\": {{");
-    let _ = writeln!(j, "    \"flushes\": {flushes_total:.0},");
-    let _ = writeln!(j, "    \"coalesced_batches\": {coalesced_batches:.0},");
-    let _ = writeln!(j, "    \"coalesced_requests\": {coalesced_requests:.0},");
-    let _ = writeln!(j, "    \"batch_rows_max\": {batch_rows_max:.0},");
-    let _ = writeln!(j, "    \"trace_flush_probe_seen\": {trace_has_flush_probe}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"tiers\": {{");
-    let _ = writeln!(j, "    \"hot_requests\": {},", hot.len());
-    let _ = writeln!(j, "    \"hot_ok\": {hot_ok},");
-    let _ = writeln!(j, "    \"hot_rejected_503\": {hot_rejected},");
-    let _ = writeln!(j, "    \"quiet_requests\": {},", quiet.len());
-    let _ = writeln!(j, "    \"quiet_ok\": {quiet_ok},");
-    let _ = writeln!(j, "    \"tier_rejected_total\": {tier_rejected_total:.0}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"telemetry\": {{");
-    let _ = writeln!(j, "    \"client_p50_ms\": {p50_ms:.3},");
-    let _ = writeln!(j, "    \"client_p99_ms\": {p99_ms:.3},");
-    let _ = writeln!(j, "    \"server_p50_ms\": {server_p50_ms:.3},");
-    let _ = writeln!(j, "    \"server_p99_ms\": {server_p99_ms:.3},");
-    let _ = writeln!(j, "    \"server_latency_count\": {server_count:.0},");
-    let _ = writeln!(j, "    \"mid_run_scrape_ok\": {mid_run_scrape_ok},");
-    let _ = writeln!(j, "    \"latency_cross_check\": {latency_cross_check},");
-    let _ = writeln!(j, "    \"trace_endpoint_ok\": {trace_endpoint_ok}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"backpressure\": {{");
-    let _ = writeln!(j, "    \"burst\": {burst},");
-    let _ = writeln!(j, "    \"served\": {served_count},");
-    let _ = writeln!(j, "    \"rejected_503\": {rejected_503},");
-    let _ = writeln!(j, "    \"unexpected_statuses\": {other}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"claims\": {{");
-    let _ = writeln!(j, "    \"bitwise_identical_over_http\": {bitwise},");
-    let _ = writeln!(j, "    \"openmetrics_eof_framing\": {openmetrics_ok},");
-    let _ = writeln!(j, "    \"backpressure_503_seen\": {},", rejected_503 >= 1);
-    let _ = writeln!(j, "    \"open_loop_knee_found\": {knee_found},");
-    let _ = writeln!(j, "    \"coalescing_observed\": {coalescing_observed},");
-    let _ = writeln!(j, "    \"tier_isolation_observed\": {tier_isolation},");
-    let _ = writeln!(j, "    \"keepalive_speedup_x\": {best_speedup:.2},");
-    let _ = writeln!(j, "    \"keepalive_5x_vs_pr7\": {speedup_target_met},");
-    let _ = writeln!(
-        j,
-        "    \"note\": \"closed-loop keep-alive load from {CLIENTS} persistent connections; \
-         keepalive_speedup_x is the best closed-loop rps (strict or pipelined window \
-         {PIPELINE_WINDOW}) over the PR7 baseline; keep-alive latency excludes connect \
-         (reported separately under legacy_connection_per_request); open-loop latency \
-         measured from scheduled send time\""
-    );
-    let _ = writeln!(j, "  }}");
-    let _ = writeln!(j, "}}");
+    let report = Report {
+        config: Config {
+            d: DIM,
+            batch_rows: BATCH,
+            clients: CLIENTS,
+            keepalive_requests: ka_total,
+            legacy_requests,
+            burst,
+            quick,
+            host_cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
+        },
+        baseline: Baseline { pr7_sustained_rps: PR7_BASELINE_RPS },
+        closed_loop: ClosedLoopReport {
+            keepalive: Keepalive {
+                sustained_rps,
+                rows_per_s,
+                p50_latency_ms: p50_ms,
+                p99_latency_ms: p99_ms,
+                completed: ka_ok,
+                speedup_vs_pr7: speedup,
+            },
+            pipelined_keepalive: Pipelined {
+                window: PIPELINE_WINDOW,
+                connections: pipe_conns,
+                sustained_rps: pipelined_rps,
+                rows_per_s: pipelined_rps * BATCH as f64,
+                completed: pipe_ok,
+                speedup_vs_pr7: pipe_speedup,
+            },
+            legacy_connection_per_request: Legacy {
+                sustained_rps: legacy_rps,
+                connect_p50_ms: connect_p50,
+                connect_p99_ms: connect_p99,
+                request_p50_ms: req_p50,
+                request_p99_ms: req_p99,
+                completed: legacy_ok,
+            },
+        },
+        open_loop: OpenLoopReport {
+            sweep,
+            knee_rps,
+            knee_criterion: "achieved >= 0.95 * offered",
+        },
+        batching: Batching {
+            flushes: flushes_total as u64,
+            coalesced_batches: coalesced_batches as u64,
+            coalesced_requests: coalesced_requests as u64,
+            batch_rows_max: batch_rows_max as u64,
+            trace_flush_probe_seen: trace_has_flush_probe,
+        },
+        tiers: Tiers {
+            hot_requests: hot.len(),
+            hot_ok,
+            hot_rejected_503: hot_rejected,
+            quiet_requests: quiet.len(),
+            quiet_ok,
+            tier_rejected_total: tier_rejected_total as u64,
+        },
+        telemetry: Telemetry {
+            client_p50_ms: p50_ms,
+            client_p99_ms: p99_ms,
+            server_p50_ms,
+            server_p99_ms,
+            server_latency_count: server_count as u64,
+            mid_run_scrape_ok,
+            latency_cross_check,
+            trace_endpoint_ok,
+        },
+        backpressure: Backpressure {
+            burst,
+            served: served_count,
+            rejected_503,
+            unexpected_statuses: other,
+        },
+        claims: Claims {
+            bitwise_identical_over_http: bitwise,
+            openmetrics_eof_framing: openmetrics_ok,
+            backpressure_503_seen: rejected_503 >= 1,
+            open_loop_knee_found: knee_found,
+            coalescing_observed,
+            tier_isolation_observed: tier_isolation,
+            keepalive_speedup_x: best_speedup,
+            keepalive_5x_vs_pr7: speedup_target_met,
+            note: format!(
+                "closed-loop keep-alive load from {CLIENTS} persistent connections; \
+                 keepalive_speedup_x is the best closed-loop rps (strict or pipelined window \
+                 {PIPELINE_WINDOW}) over the recorded connection-per-request baseline; keep-alive latency excludes connect \
+                 (reported separately under legacy_connection_per_request); open-loop latency \
+                 measured from scheduled send time"
+            ),
+        },
+    };
+    let j = serde_json::to_string(&report).expect("report serializes");
     std::fs::write("BENCH_serve.json", &j).expect("write BENCH_serve.json");
     println!("\nwrote BENCH_serve.json");
 

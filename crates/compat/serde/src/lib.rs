@@ -125,6 +125,19 @@ pub fn get_field<'v>(map: &'v [(String, Value)], name: &str) -> Result<&'v Value
         .ok_or_else(|| DeError(format!("missing field `{name}`")))
 }
 
+/// The data model serializes as itself (like `serde_json::Value`).
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
+    }
+}
+
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {

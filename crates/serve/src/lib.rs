@@ -1,7 +1,10 @@
-//! # edm-serve — dependency-free model serving for trained edm models
+//! # edm-serve — model serving for trained edm models
 //!
-//! A small HTTP/1.1 scoring service built entirely on `std::net`: no
-//! async runtime, no web framework, no serde on the wire. Models that
+//! A small HTTP/1.1 scoring service built on `std::net`: no async
+//! runtime, no web framework. JSON goes through the workspace's
+//! `serde_json` (strict RFC 8259, nesting capped at 128) via the
+//! [`json::Value`] tree, plus one tree-free fast path for predict
+//! bodies ([`json::parse_inputs_fast`]). Models that
 //! implement the facade's object-safe [`edm::Predictor`] trait are
 //! registered by name in a [`ModelRegistry`] and served by a fixed
 //! worker pool ([`edm_par::pool::WorkerPool`]) behind a bounded queue —
@@ -54,7 +57,7 @@
 //!
 //! The threaded server lives behind the `parallel` feature (mirroring
 //! the workspace's "no threads without `parallel`" invariant); the
-//! JSON codec, HTTP parser, and registry compile featureless.
+//! JSON types, HTTP parser, and registry compile featureless.
 //!
 //! ```
 //! use edm::prelude::*;

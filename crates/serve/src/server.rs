@@ -935,49 +935,53 @@ fn reload_response(state: &ServeState) -> Response {
 /// A parsed `:train` body: family tag, inputs, targets.
 type TrainRequest = (String, Vec<Vec<f64>>, Vec<f64>);
 
+/// Parses a request body, answering 400 with the parser's
+/// offset-carrying message when it is not JSON.
+fn parse_body(text: &str) -> Result<Value, Response> {
+    json::parse(text).map_err(|e| error_response(400, &e.to_string()))
+}
+
+/// The `inputs` rows of a parsed body (shared by `:predict` and
+/// `:train`); a missing `inputs` array answers 400 with `missing`.
+fn input_rows(doc: &Value, missing: &str) -> Result<Vec<Vec<f64>>, Response> {
+    let Some(raw_rows) = doc.get("inputs").and_then(Value::as_array) else {
+        return Err(error_response(400, missing));
+    };
+    raw_rows
+        .iter()
+        .enumerate()
+        .map(|(i, raw_row)| match raw_row.as_array() {
+            Some(cells) => numbers(cells, |j| format!("inputs[{i}][{j}] is not a number")),
+            None => Err(error_response(400, &format!("inputs[{i}] is not an array"))),
+        })
+        .collect()
+}
+
+/// `cells` as numbers; the first non-number answers 400 with
+/// `name(index)`.
+fn numbers(cells: &[Value], name: impl Fn(usize) -> String) -> Result<Vec<f64>, Response> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(j, cell)| cell.as_f64().ok_or_else(|| error_response(400, &name(j))))
+        .collect()
+}
+
 /// Parses the `:train` body:
 /// `{"family": "...", "inputs": [[...], ...], "targets": [...]}`
 /// (`targets` optional — the one-class family ignores labels).
 fn parse_train_strict(text: &str) -> Result<TrainRequest, Response> {
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Err(error_response(400, &e.to_string())),
-    };
+    let doc = parse_body(text)?;
     let Some(family) = doc.get("family").and_then(Value::as_str) else {
         return Err(error_response(
             400,
             "body must be {\"family\": str, \"inputs\": [[f64, ...], ...], \"targets\": [f64, ...]}",
         ));
     };
-    let Some(raw_rows) = doc.get("inputs").and_then(Value::as_array) else {
-        return Err(error_response(400, "missing \"inputs\" array"));
-    };
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(raw_rows.len());
-    for (i, raw_row) in raw_rows.iter().enumerate() {
-        let Some(cells) = raw_row.as_array() else {
-            return Err(error_response(400, &format!("inputs[{i}] is not an array")));
-        };
-        let mut row = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            let Some(v) = cell.as_f64() else {
-                return Err(error_response(400, &format!("inputs[{i}][{j}] is not a number")));
-            };
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    let targets: Vec<f64> = match doc.get("targets") {
+    let rows = input_rows(&doc, "missing \"inputs\" array")?;
+    let targets = match doc.get("targets") {
         None | Some(Value::Null) => Vec::new(),
-        Some(Value::Array(raw)) => {
-            let mut ys = Vec::with_capacity(raw.len());
-            for (i, cell) in raw.iter().enumerate() {
-                let Some(v) = cell.as_f64() else {
-                    return Err(error_response(400, &format!("targets[{i}] is not a number")));
-                };
-                ys.push(v);
-            }
-            ys
-        }
+        Some(Value::Array(raw)) => numbers(raw, |i| format!("targets[{i}] is not a number"))?,
         Some(_) => return Err(error_response(400, "\"targets\" is not an array")),
     };
     Ok((family.to_string(), rows, targets))
@@ -1083,28 +1087,7 @@ impl edm::Predictor for TrainedPredictor {
 /// ([`json::parse_inputs_fast`]) only handles well-formed canonical
 /// bodies and defers everything else here.
 fn parse_inputs_strict(text: &str) -> Result<Vec<Vec<f64>>, Response> {
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Err(error_response(400, &e.to_string())),
-    };
-    let Some(raw_rows) = doc.get("inputs").and_then(Value::as_array) else {
-        return Err(error_response(400, "body must be {\"inputs\": [[f64, ...], ...]}"));
-    };
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(raw_rows.len());
-    for (i, raw_row) in raw_rows.iter().enumerate() {
-        let Some(cells) = raw_row.as_array() else {
-            return Err(error_response(400, &format!("inputs[{i}] is not an array")));
-        };
-        let mut row = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            let Some(v) = cell.as_f64() else {
-                return Err(error_response(400, &format!("inputs[{i}][{j}] is not a number")));
-            };
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
+    input_rows(&parse_body(text)?, "body must be {\"inputs\": [[f64, ...], ...]}")
 }
 
 fn predict_response(
@@ -1165,29 +1148,16 @@ fn predict_response(
     // server's fault (predictor failure/panic), not the client's.
     match state.batcher.submit(name, snapshot.generation, &entry.model, rows, &state.metrics) {
         Ok(predictions) => {
-            // Hand-rolled encoding of the success body: same bytes the
-            // `Value` tree would produce (numbers render via `{:?}`,
-            // strings via the shared escaper), without building one
-            // node per prediction.
-            use std::fmt::Write as _;
-            let mut body = String::with_capacity(96 + 24 * predictions.len());
-            body.push_str("{\"model\":");
-            json::write_escaped(name, &mut body);
-            body.push_str(",\"family\":");
-            json::write_escaped(entry.model.name(), &mut body);
-            let _ = write!(body, ",\"count\":{:?},\"predictions\":[", predictions.len() as f64);
-            for (i, p) in predictions.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                if p.is_finite() {
-                    let _ = write!(body, "{p:?}");
-                } else {
-                    body.push_str("null");
-                }
-            }
-            body.push_str("]}");
-            Response::json(200, body)
+            let body = Value::Object(vec![
+                ("model".to_string(), Value::Str(name.to_string())),
+                ("family".to_string(), Value::Str(entry.model.name().to_string())),
+                ("count".to_string(), Value::Number(predictions.len() as f64)),
+                (
+                    "predictions".to_string(),
+                    Value::Array(predictions.into_iter().map(Value::Number).collect()),
+                ),
+            ]);
+            Response::json(200, body.encode())
         }
         Err(e) => error_response(500, &e),
     }
@@ -1197,6 +1167,7 @@ fn predict_response(
 mod tests {
     use super::*;
     use edm::prelude::*;
+    use proptest::prelude::*;
 
     fn registry_with_ridge() -> ModelRegistry {
         let x = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
@@ -1329,7 +1300,7 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "application/json");
         let doc = json::parse(std::str::from_utf8(&resp.body).expect("utf8"))
-            .expect("live trace report parses with our own JSON parser");
+            .expect("live trace report parses as JSON");
         assert!(doc.get("level").is_some(), "report carries the trace level");
         assert!(doc.get("dropped_events").is_some(), "report carries the ring drop counter");
     }
@@ -1531,5 +1502,69 @@ mod tests {
             json::parse(std::str::from_utf8(&trained.response.body).expect("utf8")).expect("json");
         assert!(matches!(doc.get("saved_to"), Some(Value::Null)), "no store, no file");
         assert!(state.registry.snapshot().registry.get("mem").is_some());
+    }
+
+    /// Routes a POST of raw `body` bytes (which need not be UTF-8) and
+    /// returns the status.
+    fn post_status(target: &str, body: Vec<u8>, state: &ServeState) -> u16 {
+        let r =
+            Request { method: "POST".to_string(), target: target.to_string(), body, close: false };
+        route(&r, state).response.status
+    }
+
+    const PREDICT_BODY: &str = r#"{"inputs": [[1.5, -2], [0.25, 3e2], [-0, 1E-3]]}"#;
+    const TRAIN_BODY: &str = r#"{"family": "ridge", "inputs": [[0, 0], [1, 0.5], [0.5, 1], [1, 1]], "targets": [0, 1, 1, 2], "note": "\u00e9\ud83d\ude00"}"#;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Damaged bodies are the client's fault: 200 or 400, never a
+        /// 500 or a panic.
+        #[test]
+        fn truncated_or_flipped_bodies_answer_200_or_400(
+            cut in 0usize..10_000,
+            at in 0usize..10_000,
+            mask in 1u8..255,
+        ) {
+            let state = test_state(registry_with_ridge());
+            for (target, valid) in
+                [("/v1/models/plane:predict", PREDICT_BODY), ("/v1/models/fresh:train", TRAIN_BODY)]
+            {
+                let bytes = valid.as_bytes();
+                let truncated = bytes[..cut % bytes.len()].to_vec();
+                let mut flipped = bytes.to_vec();
+                flipped[at % bytes.len()] ^= mask;
+                for body in [truncated, flipped] {
+                    let shown = String::from_utf8_lossy(&body).into_owned();
+                    let status = post_status(target, body, &state);
+                    prop_assert!(status == 200 || status == 400, "{target} {shown:?} -> {status}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undamaged_bodies_are_served() {
+        let state = test_state(registry_with_ridge());
+        let predict = PREDICT_BODY.as_bytes().to_vec();
+        assert_eq!(post_status("/v1/models/plane:predict", predict, &state), 200);
+        assert_eq!(
+            post_status("/v1/models/fresh:train", TRAIN_BODY.as_bytes().to_vec(), &state),
+            200
+        );
+    }
+
+    #[test]
+    fn hostile_bodies_answer_400() {
+        let state = test_state(registry_with_ridge());
+        for body in [
+            "[".repeat(1 << 20),
+            r#"{"inputs": [[+1]]}"#.to_string(),
+            r#""\ud800""#.to_string(),
+            r#"{"inputs": [[1e999, 1]]}"#.to_string(),
+        ] {
+            let status = post_status("/v1/models/plane:predict", body.clone().into_bytes(), &state);
+            assert_eq!(status, 400, "{:.40}", body);
+        }
     }
 }

@@ -310,26 +310,13 @@ impl TraceReport {
     ///
     /// Output is deterministic for a given report.
     pub fn to_chrome_trace(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
+        // Names as quoted JSON strings.
+        let esc = |s: &str| serde_json::to_string(s).expect("strings always serialize");
         let mut events: Vec<String> = Vec::with_capacity(self.threads.len() + self.timeline.len());
         for t in &self.threads {
             events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":{}}}}}",
                 t.tid,
                 esc(&t.name)
             ));
@@ -341,7 +328,7 @@ impl TraceReport {
                 EventKind::B => {
                     *depth.entry(e.tid).or_insert(0) += 1;
                     events.push(format!(
-                        "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
+                        "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":{}}}",
                         e.tid,
                         ts_us,
                         esc(&e.name)
@@ -356,7 +343,7 @@ impl TraceReport {
                     }
                     *d -= 1;
                     events.push(format!(
-                        "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
+                        "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":{}}}",
                         e.tid,
                         ts_us,
                         esc(&e.name)
@@ -364,7 +351,7 @@ impl TraceReport {
                 }
                 EventKind::C => {
                     events.push(format!(
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\",\
+                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":{},\
                          \"args\":{{\"value\":{}}}}}",
                         e.tid,
                         ts_us,
