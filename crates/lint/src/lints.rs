@@ -289,7 +289,9 @@ fn ambient_entropy(ws: &Workspace, sup: &mut SuppressionTable, findings: &mut Ve
 
 /// Every probe call site in linted library code:
 /// `(name, registry_section, rel_path, line)`. Used by the
-/// `probe-registry` lint and by `edm-lint --dump-probes`.
+/// `probe-registry` lint and by `edm-lint --dump-probes`. Method calls
+/// count too (`metrics.record("name", ..)` on an `edm_trace::Registry`
+/// value) whenever their first argument is a string literal.
 pub fn collect_probes(ws: &Workspace) -> Vec<(String, &'static str, String, u32)> {
     let mut out = Vec::new();
     for (_, file) in lib_files(ws) {
@@ -299,9 +301,6 @@ pub fn collect_probes(ws: &Workspace) -> Vec<(String, &'static str, String, u32)
         let toks = &file.scanned.tokens;
         for i in 0..toks.len() {
             let Some(section) = ident(toks, i).and_then(probe_section) else { continue };
-            if i > 0 && punct(toks, i - 1) == Some('.') {
-                continue;
-            }
             if punct(toks, i + 1) != Some('(') {
                 continue;
             }
@@ -322,14 +321,15 @@ fn probe_section(call: &str) -> Option<&'static str> {
     match call {
         "span" | "span_handle" => Some("spans"),
         "counter_add" | "counter_add_labeled" | "counter_handle" => Some("counters"),
-        "record" | "record_full" | "record_labeled" | "hist_handle" => Some("histograms"),
+        "gauge_max" => Some("gauges"),
+        "record" | "record_full" | "record_labeled" => Some("histograms"),
         _ => None,
     }
 }
 
 fn probe_registry(ws: &Workspace, sup: &mut SuppressionTable, findings: &mut Vec<Finding>) {
     const LINT: &str = "probe-registry";
-    const SECTIONS: [&str; 3] = ["spans", "counters", "histograms"];
+    const SECTIONS: [&str; 4] = ["spans", "counters", "gauges", "histograms"];
 
     // 1. The registry itself: duplicates and missing descriptions.
     let mut registered: BTreeMap<String, (&'static str, u32)> = BTreeMap::new();
@@ -367,7 +367,8 @@ fn probe_registry(ws: &Workspace, sup: &mut SuppressionTable, findings: &mut Vec
     // 2. Call sites: every probe literal must be registered under the
     //    section its call kind implies. (collect_probes already skips
     //    crates/trace — the API definition mentions placeholder names —
-    //    plus test regions and method calls like `hist.record(x)`.)
+    //    plus test regions and calls without a literal name, like
+    //    `hist.record(x)`.)
     let mut used: BTreeMap<String, &'static str> = BTreeMap::new();
     for (name, section, rel_path, line) in collect_probes(ws) {
         used.insert(name.clone(), section);

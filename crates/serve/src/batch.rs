@@ -46,9 +46,11 @@
 //! `EDM_SERVE_BATCH_MAX_ROWS` caps rows per flushed call, and
 //! `EDM_SERVE_BATCH_WAIT_US` sets the leader hold budget.
 //!
-//! Every flush feeds the trace probes `serve.batch.size`,
-//! `serve.batch.wait_ns`, and `serve.batch.flush_reason` plus the
-//! always-on [`ServeMetrics`] batch families rendered on `/metrics`.
+//! Every flush is recorded once, into the server's always-on
+//! [`Registry`]: `serve.batches{reason}`, `serve.batch_rows`,
+//! `serve.batch_rows_max` and the `serve.coalesced_*` pair, rendered on
+//! `/metrics`. The queue wait before a flush goes to the global trace
+//! histogram `serve.batch.wait_ns` (at `EDM_TRACE=summary` and above).
 //!
 //! # Failure containment
 //!
@@ -64,8 +66,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use edm_par::sync::{DbgCondvar, DbgMutex, DbgMutexGuard};
+use edm_trace::Registry;
 
-use crate::metrics::ServeMetrics;
 use crate::registry::ServedModel;
 
 /// Tunables for the [`BatchScheduler`].
@@ -227,46 +229,6 @@ impl Drop for FlushGuard<'_> {
     }
 }
 
-/// Pre-resolved flush telemetry (the flush reasons form a small closed
-/// vocabulary, so every handle is resolved once at scheduler
-/// construction — the per-flush cost is atomics and short per-series
-/// locks, never the global trace registry).
-struct BatchProbes {
-    size: edm_trace::HistHandle,
-    wait_ns: edm_trace::HistHandle,
-    inline_flush: edm_trace::CounterHandle,
-    drain: edm_trace::CounterHandle,
-    size_flush: edm_trace::CounterHandle,
-    hold: edm_trace::CounterHandle,
-    bypass: edm_trace::CounterHandle,
-}
-
-impl BatchProbes {
-    fn resolve() -> BatchProbes {
-        let reason =
-            |r: &str| edm_trace::counter_handle("serve.batch.flush_reason", &[("reason", r)]);
-        BatchProbes {
-            size: edm_trace::hist_handle("serve.batch.size", &[]),
-            wait_ns: edm_trace::hist_handle("serve.batch.wait_ns", &[]),
-            inline_flush: reason("inline"),
-            drain: reason("drain"),
-            size_flush: reason("size"),
-            hold: reason("hold"),
-            bypass: reason("bypass"),
-        }
-    }
-
-    fn for_reason(&self, reason: &str) -> &edm_trace::CounterHandle {
-        match reason {
-            "inline" => &self.inline_flush,
-            "drain" => &self.drain,
-            "size" => &self.size_flush,
-            "hold" => &self.hold,
-            _ => &self.bypass,
-        }
-    }
-}
-
 /// The per-server micro-batch scheduler. See the [module docs](self).
 ///
 /// Queues are keyed per **(model name, registry generation)**: after a
@@ -277,17 +239,12 @@ impl BatchProbes {
 pub struct BatchScheduler {
     config: BatchConfig,
     queues: DbgMutex<BTreeMap<String, (u64, Arc<ModelQueue>)>>,
-    probes: BatchProbes,
 }
 
 impl BatchScheduler {
     /// A scheduler with the given tunables.
     pub fn new(config: BatchConfig) -> Self {
-        BatchScheduler {
-            config,
-            queues: DbgMutex::new("serve.batch.queues", BTreeMap::new()),
-            probes: BatchProbes::resolve(),
-        }
+        BatchScheduler { config, queues: DbgMutex::new("serve.batch.queues", BTreeMap::new()) }
     }
 
     /// The active configuration.
@@ -302,7 +259,8 @@ impl BatchScheduler {
     /// would have produced for row `i`.
     ///
     /// `generation` is the registry generation `model` came from;
-    /// requests from different generations never share a batch.
+    /// requests from different generations never share a batch. Every
+    /// flush is recorded in `metrics`.
     ///
     /// # Errors
     ///
@@ -316,7 +274,7 @@ impl BatchScheduler {
         generation: u64,
         model: &ServedModel,
         rows: Vec<Vec<f64>>,
-        metrics: &ServeMetrics,
+        metrics: &Registry,
     ) -> ScoreResult {
         if !self.config.enabled {
             return model.predict_batch(&rows).map_err(|e| e.to_string());
@@ -351,7 +309,7 @@ impl BatchScheduler {
         mq: &ModelQueue,
         slot: &Arc<Slot>,
         model: &ServedModel,
-        metrics: &ServeMetrics,
+        metrics: &Registry,
     ) -> ScoreResult {
         let mut st = slot.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
@@ -381,7 +339,7 @@ impl BatchScheduler {
         own: &Arc<Slot>,
         mut batch: Vec<Pending>,
         model: &ServedModel,
-        metrics: &ServeMetrics,
+        metrics: &Registry,
     ) -> ScoreResult {
         let _release = ActiveGuard { mq };
         let mut reason = "drain";
@@ -454,15 +412,19 @@ impl BatchScheduler {
         rows: &[Vec<f64>],
         reason: &'static str,
         oldest: Instant,
-        metrics: &ServeMetrics,
+        metrics: &Registry,
     ) -> ScoreResult {
         let mut guard = FlushGuard { undelivered: followers, armed: true };
-        let wait_ns = oldest.elapsed().as_nanos() as u64;
-        let n_requests = followers.len().max(1);
-        self.probes.size.record(rows.len() as f64);
-        self.probes.wait_ns.record(wait_ns as f64);
-        self.probes.for_reason(reason).add(1);
-        metrics.batch_flush(reason, n_requests, rows.len());
+        edm_trace::record("serve.batch.wait_ns", oldest.elapsed().as_nanos() as f64);
+        let n_rows = rows.len() as u64;
+        // Inline and bypass flushes pass no followers: they carry the
+        // calling request alone.
+        let coalesced = if followers.len() >= 2 { followers.len() as u64 } else { 0 };
+        metrics.counter_add("serve.batches", &[("reason", reason)], 1);
+        metrics.counter_add("serve.batch_rows", &[], n_rows);
+        metrics.gauge_max("serve.batch_rows_max", &[], n_rows);
+        metrics.counter_add("serve.coalesced_batches", &[], u64::from(coalesced > 0));
+        metrics.counter_add("serve.coalesced_requests", &[], coalesced);
         let result = model.predict_batch(rows).map_err(|e| e.to_string());
         guard.armed = false;
         match &result {
@@ -536,7 +498,7 @@ mod tests {
     fn inline_path_matches_direct_scoring_bitwise() {
         let model = plane();
         let sched = BatchScheduler::new(BatchConfig::default());
-        let metrics = ServeMetrics::new();
+        let metrics = Registry::new();
         let rows = vec![vec![0.25, 0.5], vec![0.75, -0.25]];
         let direct = model.predict_batch(&rows).expect("direct");
         let batched =
@@ -545,17 +507,17 @@ mod tests {
         for (b, d) in batched.iter().zip(&direct) {
             assert_eq!(b.to_bits(), d.to_bits());
         }
-        let snap = metrics.batch_snapshot();
-        assert_eq!(snap.flushes, 1);
-        assert_eq!(snap.batched_rows, 2);
-        assert_eq!(snap.coalesced_batches, 0, "a lone request is not a coalesced batch");
+        let r = metrics.collect();
+        assert_eq!(r.counter("serve.batches"), 1);
+        assert_eq!(r.counter("serve.batch_rows"), 2);
+        assert_eq!(r.counter("serve.coalesced_batches"), 0, "a lone request is not coalesced");
     }
 
     #[test]
     fn oversized_requests_bypass_the_queue() {
         let model = plane();
         let sched = BatchScheduler::new(BatchConfig { max_rows: 2, ..BatchConfig::default() });
-        let metrics = ServeMetrics::new();
+        let metrics = Registry::new();
         let rows = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.5, 0.5]];
         let out = sched.submit("plane", 1, &model, rows, &metrics).expect("bypass path");
         assert_eq!(out.len(), 3);
@@ -565,21 +527,70 @@ mod tests {
     fn disabled_scheduler_is_a_passthrough() {
         let model = plane();
         let sched = BatchScheduler::new(BatchConfig { enabled: false, ..BatchConfig::default() });
-        let metrics = ServeMetrics::new();
+        let metrics = Registry::new();
         let out =
             sched.submit("plane", 1, &model, vec![vec![0.5, 0.5]], &metrics).expect("passthrough");
         assert_eq!(out.len(), 1);
-        assert_eq!(metrics.batch_snapshot().flushes, 0, "no batch telemetry when disabled");
+        assert_eq!(
+            metrics.collect().counter("serve.batches"),
+            0,
+            "no batch telemetry when disabled"
+        );
     }
 
     #[test]
     fn shape_errors_surface_as_strings() {
         let model = plane();
         let sched = BatchScheduler::new(BatchConfig::default());
-        let metrics = ServeMetrics::new();
+        let metrics = Registry::new();
         let err = sched
             .submit("plane", 1, &model, vec![vec![1.0, 2.0, 3.0]], &metrics)
             .expect_err("shape mismatch");
         assert!(err.contains("expects"), "got {err}");
+    }
+
+    /// Queues `rows` behind a fresh slot, as a parked follower.
+    fn pending(rows: Vec<Vec<f64>>) -> Pending {
+        Pending { rows, enqueued: Instant::now(), slot: Slot::new() }
+    }
+
+    #[test]
+    fn flushes_are_counted_by_reason_rows_and_coalescing() {
+        let model = plane();
+        let sched = BatchScheduler::new(BatchConfig::default());
+        let metrics = Registry::new();
+        let rows = |n: usize| vec![vec![0.5, 0.25]; n];
+        // An inline flush of one 16-row request, then two drain flushes
+        // coalescing 3 requests (48 rows) and 2 requests (8 rows).
+        sched.score_chunk(&model, &[], &rows(16), "inline", Instant::now(), &metrics).expect("ok");
+        for sizes in [&[16, 16, 16][..], &[4, 4]] {
+            let chunk: Vec<Pending> = sizes.iter().map(|&n| pending(rows(n))).collect();
+            let all = rows(sizes.iter().sum());
+            sched.score_chunk(&model, &chunk, &all, "drain", Instant::now(), &metrics).expect("ok");
+            for p in &chunk {
+                let st = p.slot.state.lock().expect("slot");
+                assert!(matches!(&*st, SlotState::Done(Ok(v)) if v.len() == p.rows.len()));
+            }
+        }
+        let r = metrics.collect();
+        assert_eq!(r.counter("serve.batches"), 3);
+        assert_eq!(r.counter("serve.batch_rows"), 72);
+        assert_eq!(r.counter("serve.coalesced_batches"), 2);
+        assert_eq!(r.counter("serve.coalesced_requests"), 5);
+        assert_eq!(
+            r.gauges.iter().find(|g| g.name == "serve.batch_rows_max").map(|g| g.value),
+            Some(48.0)
+        );
+        let text = r.to_openmetrics();
+        for line in [
+            "edm_serve_batches_total{reason=\"inline\"} 1",
+            "edm_serve_batches_total{reason=\"drain\"} 2",
+            "edm_serve_batch_rows_total 72",
+            "edm_serve_coalesced_batches_total 2",
+            "edm_serve_coalesced_requests_total 5",
+            "edm_serve_batch_rows_max 48",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} missing from {text}");
+        }
     }
 }

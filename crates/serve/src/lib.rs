@@ -28,9 +28,9 @@
 //! | `/v1/models/{name}:train` | POST | Fit a fresh model (`{"family", "inputs", "targets"}`), persist it to the model directory, publish it as the next generation |
 //! | `/v1/models` | GET | List registered models with `{family, n_features, generation, loaded_from, checksum}` |
 //! | `/v1/admin/reload` | POST | Rescan the model directory and swap in the next registry generation |
-//! | `/v1/trace` | GET | Live [`edm_trace::TraceReport`] JSON (debug) |
+//! | `/v1/trace` | GET | The `/metrics` report as [`edm_trace::TraceReport`] JSON (debug) |
 //! | `/healthz` | GET | Liveness probe |
-//! | `/metrics` | GET | OpenMetrics exposition: trace registry + per-`endpoint × model` request series (lifetime + rolling-window latency) + micro-batch and admission-tier families |
+//! | `/metrics` | GET | OpenMetrics exposition of one report: the server's always-on [`edm_trace::Registry`] (per-`endpoint × model` request counts and decilog latency with lifetime + rolling-window quantiles, micro-batch and admission-tier families) merged with the global trace registry |
 //!
 //! Every request is answered with an `x-request-id` header that
 //! matches the server's access log line (`EDM_SERVE_LOG=1`; slow
@@ -76,14 +76,12 @@
 pub mod batch;
 pub mod http;
 pub mod json;
-pub mod metrics;
 pub mod registry;
 #[cfg(feature = "parallel")]
 pub mod server;
 pub mod store;
 
 pub use batch::{BatchConfig, BatchScheduler};
-pub use metrics::{BatchSnapshot, LatencySnapshot, ServeMetrics};
 pub use registry::{
     AdmissionTier, ModelEntry, ModelInfo, ModelRegistry, RegistryError, RegistrySnapshot,
     ServedModel, SharedRegistry, TierGate, TierPermit,

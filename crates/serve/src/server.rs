@@ -53,31 +53,34 @@
 //!
 //! Every request gets a monotonically increasing id (echoed as an
 //! `x-request-id` header) and is classified into an `endpoint × model`
-//! pair. Each finished request feeds three sinks: the always-on
-//! [`ServeMetrics`] registry (per-status counts plus lifetime and
-//! rolling-window latency series, rendered on `/metrics`), the
-//! `edm-trace` labeled probes `serve.request.count` /
-//! `serve.request.handle_ns` (active at `EDM_TRACE=summary` and
-//! above), and an env-gated one-line access log on stderr
-//! (`EDM_SERVE_LOG=1`; requests at or above the
-//! `EDM_SERVE_SLOW_MS` threshold are always logged and counted under
-//! `serve.request.slow`). `GET /v1/trace` returns the live
-//! [`edm_trace::TraceReport`] as JSON for interactive debugging.
+//! pair. Each finished request is recorded once, into the server's own
+//! always-on [`Registry`]: one sample of the `serve.request_latency_ns`
+//! histogram labeled `{endpoint, model, status}`. Micro-batch flushes
+//! and admission-tier 503s land in the same registry, so `/metrics`
+//! answers at `EDM_TRACE=off` and without the `trace` feature. Slow
+//! requests (at or above `EDM_SERVE_SLOW_MS`) are counted under the
+//! global `serve.request.slow` probe and logged; `EDM_SERVE_LOG=1` logs
+//! every request as one line on stderr.
+//!
+//! `/metrics` and `GET /v1/trace` render one [`TraceReport`] (see
+//! `live_report`): this registry merged with the global `edm-trace`
+//! registry, as OpenMetrics text and as JSON.
 
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
 use edm_par::pool::WorkerPool;
+use edm_trace::{CounterStat, GaugeStat, HistogramStat, Registry, TraceReport};
 
 use crate::batch::{BatchConfig, BatchScheduler};
 use crate::http::{self, HttpError, Request, Response};
 use crate::json::{self, Value};
-use crate::metrics::ServeMetrics;
 use crate::registry::{ModelEntry, ModelRegistry, RegistrySnapshot, SharedRegistry};
 use crate::store::ModelStore;
 
@@ -208,7 +211,10 @@ struct ServeState {
     base: ModelRegistry,
     /// Model directory, when configured.
     store: Option<ModelStore>,
-    metrics: ServeMetrics,
+    /// This server's always-on telemetry (see `live_report`).
+    metrics: Registry,
+    /// The next request id.
+    next_id: AtomicU64,
     batcher: BatchScheduler,
     log: LogConfig,
     conn: ConnConfig,
@@ -309,7 +315,8 @@ impl Server {
             registry: SharedRegistry::new(generation_one),
             base: registry,
             store,
-            metrics: ServeMetrics::new(),
+            metrics: Registry::new(),
+            next_id: AtomicU64::new(1),
             batcher: BatchScheduler::new(config.batch.clone()),
             log,
             conn,
@@ -589,7 +596,7 @@ fn handle_connection(stream: &TcpStream, state: &ServeState) {
         reader.get_mut().deadline = Instant::now() + state.conn.read_timeout;
         state.probes.requests.add(1);
         let _span = state.probes.request_span.start();
-        let id = state.metrics.next_request_id();
+        let id = state.next_id.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let (mut routed, drain, client_close) =
             match http::read_request(&mut reader, state.conn.max_body) {
@@ -653,52 +660,19 @@ fn flush_corked(stream: &TcpStream, corked: &mut Vec<u8>) {
     corked.clear();
 }
 
-/// Resolved labeled handles for one (endpoint, status, model) cell.
-type RequestHandles = (edm_trace::CounterHandle, edm_trace::HistHandle);
-/// Probe cache layout: `(endpoint, status) -> model -> handles`.
-type RequestProbeCache = std::collections::BTreeMap<
-    (&'static str, u16),
-    std::collections::BTreeMap<String, RequestHandles>,
->;
-
-thread_local! {
-    /// Per-worker cache of resolved labeled request probes. Workers are
-    /// long-lived pool threads and the label space is small (endpoints
-    /// × models × statuses), so after warmup the per-request telemetry
-    /// cost is two alloc-free map hits — no global trace-registry lock.
-    static REQUEST_PROBES: std::cell::RefCell<RequestProbeCache> =
-        const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
-}
-
-/// Feeds one finished request to the serve-local metrics registry, the
-/// labeled trace probes, and (when enabled, or when slow) the access
-/// log.
+/// Records one finished request in the server's registry and, when
+/// enabled (or when slow), the access log.
 fn finish_request(state: &ServeState, id: u64, routed: &Routed, latency_ns: u64) {
     let status = routed.response.status;
-    state.metrics.observe(routed.endpoint, &routed.model, status, latency_ns);
-    REQUEST_PROBES.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let by_model = cache.entry((routed.endpoint, status)).or_default();
-        let (count, handle_ns) = match by_model.get(routed.model.as_str()) {
-            Some(handles) => handles,
-            None => {
-                let status_label = status.to_string();
-                let labels = [
-                    ("endpoint", routed.endpoint),
-                    ("model", routed.model.as_str()),
-                    ("status", status_label.as_str()),
-                ];
-                let count = edm_trace::counter_handle("serve.request.count", &labels);
-                let handle_ns = edm_trace::hist_handle(
-                    "serve.request.handle_ns",
-                    &[("endpoint", routed.endpoint), ("model", routed.model.as_str())],
-                );
-                by_model.entry(routed.model.clone()).or_insert((count, handle_ns))
-            }
-        };
-        count.add(1);
-        handle_ns.record(latency_ns as f64);
-    });
+    state.metrics.record(
+        "serve.request_latency_ns",
+        &[
+            ("endpoint", routed.endpoint),
+            ("model", &routed.model),
+            ("status", &status_text(status)),
+        ],
+        latency_ns as f64,
+    );
     let slow = latency_ns >= state.log.slow_ns;
     if slow {
         edm_trace::counter_add("serve.request.slow", 1);
@@ -712,6 +686,22 @@ fn finish_request(state: &ServeState, id: u64, routed: &Routed, latency_ns: u64)
             latency_ns as f64 / 1e6,
         );
     }
+}
+
+/// `status` as decimal text, as a metrics label wants it: the codes
+/// the router emits cost no allocation.
+fn status_text(status: u16) -> Cow<'static, str> {
+    Cow::Borrowed(match status {
+        200 => "200",
+        400 => "400",
+        404 => "404",
+        405 => "405",
+        409 => "409",
+        413 => "413",
+        500 => "500",
+        503 => "503",
+        other => return Cow::Owned(other.to_string()),
+    })
 }
 
 /// Writes `resp`, ignoring socket errors — the client may already be
@@ -778,15 +768,16 @@ fn route(req: &Request, state: &ServeState) -> Routed {
             require_get(req).unwrap_or_else(|| Response::text(200, "ok\n")),
             "healthz",
         ),
-        "/metrics" => Routed::plain(
-            require_get(req).unwrap_or_else(|| metrics_response(&state.metrics)),
-            "metrics",
-        ),
+        "/metrics" => {
+            Routed::plain(require_get(req).unwrap_or_else(|| metrics_response(state)), "metrics")
+        }
         "/v1/models" => Routed::plain(
             require_get(req).unwrap_or_else(|| models_response(&state.registry.snapshot())),
             "models",
         ),
-        "/v1/trace" => Routed::plain(require_get(req).unwrap_or_else(trace_response), "trace"),
+        "/v1/trace" => {
+            Routed::plain(require_get(req).unwrap_or_else(|| trace_response(state)), "trace")
+        }
         "/v1/admin/reload" => {
             let response = if req.method == "POST" {
                 reload_response(state)
@@ -829,13 +820,69 @@ fn route(req: &Request, state: &ServeState) -> Routed {
     }
 }
 
-/// `/metrics`: the `edm-trace` registry families, the serve-local
-/// request series, and the closing `# EOF` line, as one OpenMetrics
-/// exposition.
-fn metrics_response(metrics: &ServeMetrics) -> Response {
-    let mut body = edm_trace::collect().openmetrics_body();
-    body.push_str(&metrics.render_openmetrics());
-    body.push_str("# EOF\n");
+/// The one report behind `/metrics` and `/v1/trace`: this server's
+/// registry, with its request histograms folded by [`request_families`],
+/// merged with the global trace registry.
+fn live_report(state: &ServeState) -> TraceReport {
+    let mut report = state.metrics.collect();
+    let (by_status, rest) = std::mem::take(&mut report.histograms)
+        .into_iter()
+        .partition(|h| h.name == "serve.request_latency_ns");
+    report.histograms = rest;
+    report.merge(request_families(by_status));
+    report.merge(edm_trace::collect());
+    report
+}
+
+/// Folds the per-status `serve.request_latency_ns` rows (sorted by
+/// label set, so one `endpoint × model` pair's statuses are adjacent)
+/// into the request families:
+///
+/// * `serve.requests{endpoint,model,status}` — counter, one row per
+///   status;
+/// * `serve.request_latency_ns{endpoint,model}` — the histogram, all
+///   statuses together;
+/// * `serve.latency_quantile_ms{endpoint,model,window,quantile}` —
+///   gauge, `window` ∈ {`lifetime`, `60s`} (the last
+///   [`edm_trace::WINDOW_SECS`] seconds), `quantile` ∈ {`0.5`, `0.99`};
+/// * `serve.window_requests{endpoint,model}` — gauge, requests inside
+///   the rolling window.
+fn request_families(by_status: Vec<HistogramStat>) -> TraceReport {
+    let mut report = TraceReport::empty();
+    for mut h in by_status {
+        report.counters.push(CounterStat {
+            name: "serve.requests".to_string(),
+            labels: h.labels.clone(),
+            value: h.count,
+        });
+        h.labels.retain(|(k, _)| k != "status");
+        match report.histograms.last_mut() {
+            Some(last) if last.labels == h.labels => last.merge(&h),
+            _ => report.histograms.push(h),
+        }
+    }
+    for h in &report.histograms {
+        let gauge = |name: &str, extra: &[(&str, &str)], value: f64| {
+            let mut labels = h.labels.clone();
+            labels.extend(extra.iter().map(|&(k, v)| (k.to_string(), v.to_string())));
+            GaugeStat { name: name.to_string(), labels, value }
+        };
+        for (window, lifetime) in [("lifetime", true), ("60s", false)] {
+            for (label, q) in [("0.5", 0.5), ("0.99", 0.99)] {
+                let ns = if lifetime { h.quantile(q) } else { h.window_quantile(q) };
+                if let Some(ns) = ns {
+                    let labels = [("window", window), ("quantile", label)];
+                    report.gauges.push(gauge("serve.latency_quantile_ms", &labels, ns / 1e6));
+                }
+            }
+        }
+        report.gauges.push(gauge("serve.window_requests", &[], h.window_count() as f64));
+    }
+    report
+}
+
+/// `/metrics`: [`live_report`] as one OpenMetrics exposition.
+fn metrics_response(state: &ServeState) -> Response {
     Response {
         status: 200,
         content_type: "application/openmetrics-text; version=1.0.0; charset=utf-8",
@@ -843,13 +890,13 @@ fn metrics_response(metrics: &ServeMetrics) -> Response {
         request_id: None,
         model_generation: None,
         close: false,
-        body: body.into_bytes(),
+        body: live_report(state).to_openmetrics().into_bytes(),
     }
 }
 
-/// `/v1/trace`: the live [`edm_trace::TraceReport`] as JSON.
-fn trace_response() -> Response {
-    match edm_trace::collect().to_json() {
+/// `/v1/trace`: [`live_report`] as JSON.
+fn trace_response(state: &ServeState) -> Response {
+    match live_report(state).to_json() {
         Ok(json) => Response::json(200, json),
         Err(e) => error_response(500, &format!("trace serialization failed: {e}")),
     }
@@ -1129,12 +1176,8 @@ fn predict_response(
             Some(permit) => Some(permit),
             None => {
                 let tier = gate.tier();
-                state.metrics.tier_reject(name, &tier.name);
-                edm_trace::counter_add_labeled(
-                    "serve.tier.rejected",
-                    &[("model", name), ("tier", &tier.name)],
-                    1,
-                );
+                let labels = [("model", name), ("tier", tier.name.as_str())];
+                state.metrics.counter_add("serve.tier_rejected", &labels, 1);
                 let mut resp = error_response(
                     503,
                     &format!("model {name:?} is saturated (tier {:?})", tier.name),
@@ -1197,7 +1240,8 @@ mod tests {
             registry: SharedRegistry::new(reg.clone()),
             base: reg,
             store,
-            metrics: ServeMetrics::new(),
+            metrics: Registry::new(),
+            next_id: AtomicU64::new(1),
             batcher: BatchScheduler::new(BatchConfig::default()),
             log: LogConfig { enabled: false, slow_ns: u64::MAX },
             conn: ConnConfig {
@@ -1216,6 +1260,16 @@ mod tests {
     fn route_only(r: &Request, reg: &ModelRegistry) -> Response {
         let state = test_state(reg.clone());
         route(r, &state).response
+    }
+
+    #[test]
+    fn status_text_is_the_decimal_code() {
+        for status in [200, 400, 404, 405, 409, 413, 500, 503] {
+            let text = status_text(status);
+            assert!(matches!(text, Cow::Borrowed(_)), "{status} allocated");
+            assert_eq!(text, status.to_string());
+        }
+        assert_eq!(status_text(418), "418");
     }
 
     #[test]
@@ -1282,10 +1336,14 @@ mod tests {
             route(&req("POST", "/v1/models/plane:predict", "{\"inputs\": [[1, 1]]}"), &state);
         assert_eq!(refused.response.status, 503);
         assert_eq!(refused.response.retry_after, Some(7), "tier-specific Retry-After");
+        let report = state.metrics.collect();
+        let rejected =
+            report.counters.iter().find(|c| c.name == "serve.tier_rejected").expect("counted");
         assert_eq!(
-            state.metrics.tier_reject_snapshot().get(&("plane".into(), "bulk".into())),
-            Some(&1)
+            rejected.labels,
+            [("model".into(), "plane".into()), ("tier".into(), "bulk".into())]
         );
+        assert_eq!(rejected.value, 1);
         drop(held);
         let admitted =
             route(&req("POST", "/v1/models/plane:predict", "{\"inputs\": [[1, 1]]}"), &state);
@@ -1305,12 +1363,24 @@ mod tests {
         assert!(doc.get("dropped_events").is_some(), "report carries the ring drop counter");
     }
 
+    /// Routes `r` and records it as finished, `latency_ns` after it
+    /// arrived.
+    fn serve(r: &Request, state: &ServeState, latency_ns: u64) -> u16 {
+        let routed = route(r, state);
+        finish_request(state, 0, &routed, latency_ns);
+        routed.response.status
+    }
+
+    fn metrics_text(state: &ServeState) -> String {
+        String::from_utf8(route(&req("GET", "/metrics", ""), state).response.body).expect("utf8")
+    }
+
     #[test]
     fn metrics_endpoint_composes_serve_families_and_eof() {
         let state = test_state(registry_with_ridge());
-        state.metrics.observe("predict", "plane", 200, 1_500_000);
-        let resp = route(&req("GET", "/metrics", ""), &state).response;
-        let text = String::from_utf8(resp.body).expect("utf8");
+        let predict = req("POST", "/v1/models/plane:predict", r#"{"inputs": [[1, 1]]}"#);
+        assert_eq!(serve(&predict, &state, 1_500_000), 200);
+        let text = metrics_text(&state);
         assert!(
             text.contains(
                 "edm_serve_requests_total{endpoint=\"predict\",model=\"plane\",status=\"200\"} 1"
@@ -1319,6 +1389,93 @@ mod tests {
         );
         assert!(text.ends_with("# EOF\n"), "exposition must end with EOF");
         assert_eq!(text.matches("# EOF").count(), 1, "exactly one EOF terminator");
+    }
+
+    #[test]
+    fn request_families_render_once_recorded() {
+        let state = test_state(registry_with_ridge());
+        let text = metrics_text(&state);
+        assert!(!text.contains("edm_serve_requests_total"), "no request families before a request");
+        let predict = req("POST", "/v1/models/plane:predict", r#"{"inputs": [[1, 1]]}"#);
+        assert_eq!(serve(&predict, &state, 1_500_000), 200);
+        let bad = req("POST", "/v1/models/plane:predict", "not json");
+        assert_eq!(serve(&bad, &state, 2_000), 400);
+        assert_eq!(serve(&req("GET", "/healthz", ""), &state, 900), 200);
+        let text = metrics_text(&state);
+        let has = |line: &str| text.lines().any(|l| l == line);
+        assert!(has(
+            "edm_serve_requests_total{endpoint=\"predict\",model=\"plane\",status=\"200\"} 1"
+        ));
+        assert!(has(
+            "edm_serve_requests_total{endpoint=\"predict\",model=\"plane\",status=\"400\"} 1"
+        ));
+        // The latency histogram folds the statuses of one pair together.
+        assert!(has("edm_serve_request_latency_ns_count{endpoint=\"predict\",model=\"plane\"} 2"));
+        assert!(has(
+            "edm_serve_request_latency_ns_sum{endpoint=\"predict\",model=\"plane\"} 1502000"
+        ));
+        assert!(has(
+            "edm_serve_request_latency_ns_bucket{endpoint=\"healthz\",model=\"-\",le=\"+Inf\"} 1"
+        ));
+        assert!(has("edm_serve_window_requests{endpoint=\"healthz\",model=\"-\"} 1"));
+        for window in ["lifetime", "60s"] {
+            for q in ["0.5", "0.99"] {
+                let series = format!(
+                    "edm_serve_latency_quantile_ms{{endpoint=\"predict\",model=\"plane\",\
+                     window=\"{window}\",quantile=\"{q}\"}} "
+                );
+                assert!(text.contains(&series), "{series} missing from {text}");
+            }
+        }
+        // p99 of {2 µs, 1.5 ms} is the 1.5 ms bucket's upper edge: within
+        // one decilog bucket of the truth.
+        let p99 = text
+            .lines()
+            .find(|l| l.contains("model=\"plane\",window=\"lifetime\",quantile=\"0.99\""))
+            .and_then(|l| l.rsplit(' ').next())
+            .and_then(|v| v.parse::<f64>().ok())
+            .expect("lifetime p99 sample");
+        assert!((1.5..=1.5 * 1.26).contains(&p99), "p99 = {p99} ms");
+        // Nothing was rejected by a tier.
+        assert!(!text.contains("edm_serve_tier_rejected_total"));
+    }
+
+    /// Every family appears once and no sample repeats, also at
+    /// `EDM_TRACE=summary`, where the global trace registry adds its own
+    /// `serve.*` probes to the exposition.
+    #[test]
+    fn metrics_exposition_has_no_duplicate_families() {
+        let x = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
+        let y = vec![0.0, 1.0, 2.0, 3.0];
+        let mut reg = registry_with_ridge();
+        let tier = crate::registry::AdmissionTier {
+            name: "bulk".to_string(),
+            max_in_flight: 1,
+            retry_after_secs: 1,
+        };
+        reg.register_tiered("tiered", Ridge::fit(&x, &y, 1e-6).expect("fits"), tier)
+            .expect("tiered register");
+        let state = test_state(reg);
+        edm_trace::set_level(edm_trace::Level::Summary);
+        let body = r#"{"inputs": [[1, 1]]}"#;
+        // A predict (one inline batch flush) and a tier 503.
+        assert_eq!(serve(&req("POST", "/v1/models/plane:predict", body), &state, 1_000), 200);
+        let gate = state.registry.snapshot().registry.get_entry("tiered").and_then(|e| e.gate);
+        let held = gate.expect("tiered").try_acquire().expect("first unit");
+        assert_eq!(serve(&req("POST", "/v1/models/tiered:predict", body), &state, 1_000), 503);
+        drop(held);
+        let text = metrics_text(&state);
+        edm_trace::set_level(edm_trace::Level::Off);
+        let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let mut samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        for lines in [&mut types, &mut samples] {
+            lines.sort_unstable();
+            let before = lines.len();
+            lines.dedup();
+            assert_eq!(lines.len(), before, "duplicate exposition lines in {text}");
+        }
+        assert!(text.contains("edm_serve_tier_rejected_total{model=\"tiered\",tier=\"bulk\"} 1"));
+        assert!(text.contains("edm_serve_batches_total{reason=\"inline\"} 1"));
     }
 
     #[test]

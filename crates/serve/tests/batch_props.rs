@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 
 use edm::prelude::*;
 use edm_serve::json::{self, Value};
-use edm_serve::{BatchConfig, BatchScheduler, ModelRegistry, ServeMetrics, Server, ServerConfig};
+use edm_serve::{BatchConfig, BatchScheduler, ModelRegistry, Server, ServerConfig};
+use edm_trace::Registry;
 use proptest::prelude::*;
 
 /// Deterministic SplitMix64 stream in `[-1, 1]`.
@@ -112,7 +113,7 @@ proptest! {
             })
             .collect();
         let sched = Arc::new(BatchScheduler::new(BatchConfig::default()));
-        let metrics = Arc::new(ServeMetrics::new());
+        let metrics = Arc::new(Registry::new());
 
         // One "opener" per model parks inside predict, so every later
         // submission for that model must queue.
@@ -176,9 +177,9 @@ proptest! {
         }
         // With every follower parked before the gate opened, the drain
         // flush coalesced at least two requests somewhere.
-        let snap = metrics.batch_snapshot();
+        let coalesced_batches = metrics.collect().counter("serve.coalesced_batches");
         prop_assert!(
-            snap.coalesced_batches >= 1,
+            coalesced_batches >= 1,
             "no coalesced flush despite {} parked followers (calls: {:?})",
             n_requests, calls.lock().unwrap()
         );
@@ -198,7 +199,7 @@ proptest! {
             max_wait: Duration::from_micros(wait_us),
             ..BatchConfig::default()
         }));
-        let metrics = Arc::new(ServeMetrics::new());
+        let metrics = Arc::new(Registry::new());
         let handles: Vec<_> = (0..n_requests)
             .map(|i| {
                 let sched = Arc::clone(&sched);

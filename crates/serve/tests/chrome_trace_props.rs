@@ -40,7 +40,7 @@ proptest! {
         for i in 0..spans {
             let _outer = edm_trace::span("props.chrome.outer");
             if i % 3 == 0 {
-                drop(edm_trace::span("props.chrome.inner"));
+                let _inner = edm_trace::span("props.chrome.inner");
             }
         }
         for _ in 0..counters {

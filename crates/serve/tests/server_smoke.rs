@@ -83,6 +83,14 @@ fn read_framed(stream: &mut TcpStream) -> (u16, String, String) {
     (status, head, String::from_utf8(body).expect("utf8 body"))
 }
 
+/// The `x-request-id` header of a response head, parsed.
+fn request_id(head: &str) -> Option<u64> {
+    head.lines().find_map(|line| {
+        let (k, v) = line.split_once(':')?;
+        k.eq_ignore_ascii_case("x-request-id").then(|| v.trim().parse().ok())?
+    })
+}
+
 fn training_data() -> (Vec<Vec<f64>>, Vec<f64>) {
     let x = vec![
         vec![0.0, 0.0],
@@ -173,6 +181,8 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         let (status, head, resp_body) = read_framed(&mut stream);
         assert_eq!(status, 200, "request {i} on the shared connection: {resp_body}");
         assert!(head.contains("connection: keep-alive"), "request {i} head: {head}");
+        // A fresh server numbers its requests from 1, one by one.
+        assert_eq!(request_id(&head), Some(i + 1), "request {i} head: {head}");
         let doc = json::parse(&resp_body).expect("predict response json");
         let served = doc.get("predictions").and_then(Value::as_array).expect("predictions")[0]
             .as_f64()
@@ -187,6 +197,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let (status, head, body) = read_framed(&mut stream);
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     assert!(head.contains("connection: close"), "final head: {head}");
+    assert_eq!(request_id(&head), Some(4), "final head: {head}");
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).expect("read to EOF");
     assert!(rest.is_empty(), "server must close after connection: close");

@@ -1,15 +1,30 @@
 //! # edm-trace — telemetry for the edm workspace
 //!
 //! Zero-external-dependency instrumentation: hierarchical **spans**
-//! (RAII guards with monotonic timing), atomic **counters** (optionally
-//! labeled), fixed-bucket (power-of-two) **histograms**, and a bounded
-//! per-thread **timeline event ring**, aggregated in a global
-//! thread-safe registry and exportable as a JSON [`TraceReport`].
+//! (RAII guards with monotonic timing), atomic **counters** and max
+//! **gauges** (optionally labeled), decilog **histograms** that also
+//! keep a rolling window of their last [`WINDOW_SECS`] seconds, and a
+//! bounded per-thread **timeline event ring**. Any registry snapshots
+//! into a JSON-serializable [`TraceReport`], which renders itself as
+//! OpenMetrics text, Chrome trace JSON or folded stacks.
+//!
+//! ## One registry type, two kinds of instance
+//!
+//! Counters, gauges and histograms live in a [`Registry`] value.
+//!
+//! * The **process-global** instance backs the free-function probes
+//!   ([`counter_add`], [`record`], ...) and is gated by the trace
+//!   level; spans and the timeline ring exist only here.
+//! * A component that must always answer owns an instance of its own
+//!   and calls it directly: [`Registry`] methods record at every level,
+//!   with or without the `trace` feature. The scoring server's
+//!   `/metrics` is built this way.
 //!
 //! ## Runtime knob
 //!
-//! The `EDM_TRACE` environment variable selects the level on first
-//! probe hit (or call [`set_level`] / [`init_from_env_or`] explicitly):
+//! The `EDM_TRACE` environment variable selects the global level on
+//! first probe hit (or call [`set_level`] / [`init_from_env_or`]
+//! explicitly):
 //!
 //! * `off` (default) — probes are a single relaxed atomic load;
 //! * `summary` — counters, span aggregates, histograms;
@@ -17,6 +32,17 @@
 //!   begin/end + counter events) and high-frequency probes
 //!   ([`record_full`], e.g. the SMO solver's per-iteration KKT gap
 //!   trajectory).
+//!
+//! ## Histograms
+//!
+//! Bucket `k` covers `[10^(k/10), 10^((k+1)/10))` — ten buckets per
+//! decade, each ~26% wide — from `10^-6` up to `10^13` (non-positive
+//! and smaller samples land in the lowest bucket). A quantile read off
+//! the buckets is the upper edge of the bucket holding the order
+//! statistic, so it is at most one bucket (~26%) above the truth. Each
+//! histogram also keeps per-second slots for its last [`WINDOW_SECS`]
+//! seconds ([`HistogramStat::window`]), so a snapshot tells "slow right
+//! now" from "slow since start".
 //!
 //! ## Timeline ring
 //!
@@ -36,9 +62,10 @@
 //! ## Compile-time knob
 //!
 //! With the `trace` cargo feature disabled (workspace
-//! `--no-default-features`), every probe in this crate is an inline
-//! empty function and the registry is not compiled at all — callers
-//! need no `cfg` of their own.
+//! `--no-default-features`), every free-function probe in this crate is
+//! an inline empty function and the global registry is not compiled at
+//! all — callers need no `cfg` of their own. [`Registry`] values keep
+//! recording.
 //!
 //! ## Probe taxonomy
 //!
@@ -56,6 +83,11 @@
 //! edm_trace::counter_add("myflow.widgets", 3);
 //! edm_trace::record("myflow.latency_ns", 1234.0);
 //! edm_trace::counter_add_labeled("myflow.requests", &[("model", "svc")], 1);
+//!
+//! // An always-on instance of the same registry type:
+//! let own = edm_trace::Registry::new();
+//! own.record("myflow.latency_ns", &[("model", "svc")], 1234.0);
+//! assert_eq!(own.collect().histograms[0].count, 1);
 //! ```
 //!
 //! Probes must never perturb numerics: they may observe values but not
@@ -65,6 +97,16 @@
 
 #![forbid(unsafe_code)]
 
+// edm-allow-file(unordered-iteration): the registry maps are keyed by
+// probe name for O(1) hot-path updates and are only ever iterated by
+// snapshots, which sort every family by name before reporting.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use edm_sync::DbgMutex;
 use serde::{Deserialize, Serialize};
 
 /// Telemetry level, in increasing order of detail.
@@ -127,10 +169,21 @@ pub struct CounterStat {
     pub value: u64,
 }
 
-/// One fixed-bucket histogram: buckets are powers of two, bucket
-/// exponent `e` covering `[2^e, 2^(e+1))`, clamped to `e ∈ [−32, 31]`
-/// (non-positive samples land in the lowest bucket). One row per
-/// distinct label set.
+/// One gauge (one row per distinct label set): the largest value
+/// reported to [`Registry::gauge_max`], or a value derived from other
+/// series when a report is assembled.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct GaugeStat {
+    /// Probe name.
+    pub name: String,
+    /// Label dimensions as `(key, value)` pairs, in exposition order.
+    pub labels: Vec<(String, String)>,
+    /// Current value.
+    pub value: f64,
+}
+
+/// One decilog histogram (see the [crate docs](crate#histograms)), one
+/// row per distinct label set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramStat {
     /// Probe name.
@@ -146,8 +199,80 @@ pub struct HistogramStat {
     pub min: f64,
     /// Largest sample (0 when empty).
     pub max: f64,
-    /// Non-empty buckets as `(exponent, count)` pairs, ascending.
+    /// Non-empty buckets as `(k, count)` pairs, ascending; bucket `k`
+    /// covers `[10^(k/10), 10^((k+1)/10))`.
     pub buckets: Vec<(i64, u64)>,
+    /// The same buckets restricted to samples recorded within the
+    /// [`WINDOW_SECS`] seconds before the snapshot.
+    pub window: Vec<(i64, u64)>,
+}
+
+impl HistogramStat {
+    /// Lifetime quantile estimate: the upper edge of the bucket holding
+    /// the `q`-th order statistic, at most one bucket (~26%) above the
+    /// truth. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        quantile(&self.buckets, q)
+    }
+
+    /// [`HistogramStat::quantile`] over the rolling window.
+    pub fn window_quantile(&self, q: f64) -> Option<f64> {
+        quantile(&self.window, q)
+    }
+
+    /// Samples inside the rolling window.
+    pub fn window_count(&self) -> u64 {
+        self.window.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// Folds `other` (a histogram of the same quantity) into `self`.
+    pub fn merge(&mut self, other: &HistogramStat) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.min = other.min;
+            self.max = other.max;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.buckets = merge_buckets(&self.buckets, &other.buckets);
+        self.window = merge_buckets(&self.window, &other.window);
+    }
+}
+
+/// Sum of two sparse ascending bucket lists.
+fn merge_buckets(a: &[(i64, u64)], b: &[(i64, u64)]) -> Vec<(i64, u64)> {
+    let mut out: Vec<(i64, u64)> = a.iter().chain(b).copied().collect();
+    out.sort_by_key(|&(k, _)| k);
+    out.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    out
+}
+
+/// Quantile estimate over sparse ascending buckets (see
+/// [`HistogramStat::quantile`]).
+fn quantile(buckets: &[(i64, u64)], q: f64) -> Option<f64> {
+    let count: u64 = buckets.iter().map(|&(_, c)| c).sum();
+    if count == 0 {
+        return None;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for &(k, c) in buckets {
+        seen += c;
+        if seen >= rank {
+            return Some(bucket_edge(k));
+        }
+    }
+    buckets.last().map(|&(k, _)| bucket_edge(k))
 }
 
 /// Phase of one timeline event, mirroring the Chrome Trace Event
@@ -196,11 +321,11 @@ pub struct ThreadInfo {
 /// [`TraceReport::dropped_events`].
 pub const EVENT_CAP: usize = 8192;
 
-/// A point-in-time snapshot of the registry, serializable to JSON.
+/// A point-in-time snapshot of a registry, serializable to JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
-    /// Level at snapshot time (`"off"`, `"summary"`, `"full"`; probes
-    /// compiled out report `"off"`).
+    /// Global level at snapshot time (`"off"`, `"summary"`, `"full"`;
+    /// probes compiled out report `"off"`).
     pub level: String,
     /// Whether probe machinery was compiled in (the `trace` feature).
     pub compiled: bool,
@@ -208,6 +333,8 @@ pub struct TraceReport {
     pub spans: Vec<SpanStat>,
     /// Counters, sorted by name then labels.
     pub counters: Vec<CounterStat>,
+    /// Gauges, sorted by name then labels.
+    pub gauges: Vec<GaugeStat>,
     /// Histograms, sorted by name then labels.
     pub histograms: Vec<HistogramStat>,
     /// Timeline ring contents ([`Level::Full`] only), ordered by
@@ -229,6 +356,7 @@ impl TraceReport {
             compiled: compiled(),
             spans: Vec::new(),
             counters: Vec::new(),
+            gauges: Vec::new(),
             histograms: Vec::new(),
             timeline: Vec::new(),
             threads: Vec::new(),
@@ -256,6 +384,31 @@ impl TraceReport {
     /// `leaf` (a span may appear under several parent paths).
     pub fn span_count(&self, leaf: &str) -> u64 {
         self.spans.iter().filter(|s| s.path.rsplit('/').next() == Some(leaf)).map(|s| s.count).sum()
+    }
+
+    /// Appends `other`'s rows (a snapshot of another registry, whose
+    /// names should not overlap this one's) and restores the sort
+    /// order. `level` and `compiled` stay `self`'s.
+    pub fn merge(&mut self, other: TraceReport) {
+        self.spans.extend(other.spans);
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self.timeline.extend(other.timeline);
+        self.threads.extend(other.threads);
+        self.dropped_events += other.dropped_events;
+        self.sort();
+    }
+
+    /// Sorts every family by name then labels (spans by path); timeline
+    /// events by thread, keeping each thread's append order.
+    fn sort(&mut self) {
+        self.spans.sort_by(|a, b| a.path.cmp(&b.path));
+        self.counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.gauges.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.histograms.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.timeline.sort_by_key(|e| e.tid);
+        self.threads.sort_by_key(|t| t.tid);
     }
 
     /// Renders the span aggregates in Brendan Gregg's collapsed-stack
@@ -364,26 +517,26 @@ impl TraceReport {
         format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", events.join(","))
     }
 
-    /// Renders the registry snapshot in the OpenMetrics text
-    /// exposition format, **without** the `# EOF` terminator — for
-    /// callers (like `edm-serve`) that append their own families
-    /// before closing the exposition. [`TraceReport::to_openmetrics`]
-    /// is the self-terminating form.
+    /// Renders the report in the OpenMetrics text exposition format for
+    /// scrape-based monitoring, ending with the mandatory `# EOF`
+    /// terminator.
     ///
     /// * Counters map directly: probe `svm.smo.iterations` becomes the
     ///   family `edm_svm_smo_iterations` with one `_total` sample per
     ///   label set (`# TYPE` emitted once per family).
-    /// * Power-of-two histograms map to cumulative `le` buckets: the
-    ///   bucket with exponent `e` covers `[2^e, 2^(e+1))`, so its upper
-    ///   bound is `le="2^(e+1)"`; `_sum`, `_count`, and the mandatory
-    ///   `le="+Inf"` bucket follow. Probe labels precede `le`.
+    /// * Gauges render one plain sample per label set.
+    /// * Decilog histograms map to cumulative `le` buckets: bucket `k`
+    ///   covers `[10^(k/10), 10^((k+1)/10))`, so its upper bound is
+    ///   `le="10^((k+1)/10)"` (five significant digits); `_sum`,
+    ///   `_count`, and the mandatory `le="+Inf"` bucket follow. Probe
+    ///   labels precede `le`.
     /// * Span aggregates become two labeled counter families,
     ///   `edm_span_activations` and `edm_span_time_ns`, with the
     ///   hierarchical path as the `path` label.
     ///
     /// Output is deterministic for a given report (families in the
     /// report's sorted order).
-    pub fn openmetrics_body(&self) -> String {
+    pub fn to_openmetrics(&self) -> String {
         fn metric_name(probe: &str) -> String {
             let mut name = String::with_capacity(probe.len() + 4);
             name.push_str("edm_");
@@ -395,49 +548,52 @@ impl TraceReport {
         fn label_value(path: &str) -> String {
             path.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
         }
-        fn label_set(labels: &[(String, String)]) -> String {
-            if labels.is_empty() {
-                return String::new();
-            }
-            let inner: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_value(v))).collect();
-            format!("{{{}}}", inner.join(","))
-        }
-        fn labels_with_le(labels: &[(String, String)], le: &str) -> String {
+        fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
             let mut inner: Vec<String> =
                 labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_value(v))).collect();
-            inner.push(format!("le=\"{le}\""));
+            if let Some(le) = le {
+                inner.push(format!("le=\"{le}\""));
+            }
+            if inner.is_empty() {
+                return String::new();
+            }
             format!("{{{}}}", inner.join(","))
         }
-        let mut out = String::new();
-        for (i, c) in self.counters.iter().enumerate() {
-            let name = metric_name(&c.name);
-            if i == 0 || self.counters[i - 1].name != c.name {
-                out.push_str(&format!("# TYPE {name} counter\n"));
+        /// `# TYPE` line when row `i` opens a new family.
+        fn type_line(out: &mut String, names: &[&str], i: usize, kind: &str) {
+            if i == 0 || names[i - 1] != names[i] {
+                out.push_str(&format!("# TYPE {} {kind}\n", metric_name(names[i])));
             }
-            out.push_str(&format!("{name}_total{} {}\n", label_set(&c.labels), c.value));
         }
+        let mut out = String::new();
+        let names: Vec<&str> = self.counters.iter().map(|c| c.name.as_str()).collect();
+        for (i, c) in self.counters.iter().enumerate() {
+            type_line(&mut out, &names, i, "counter");
+            let name = metric_name(&c.name);
+            out.push_str(&format!("{name}_total{} {}\n", label_set(&c.labels, None), c.value));
+        }
+        let names: Vec<&str> = self.gauges.iter().map(|g| g.name.as_str()).collect();
+        for (i, g) in self.gauges.iter().enumerate() {
+            type_line(&mut out, &names, i, "gauge");
+            let name = metric_name(&g.name);
+            out.push_str(&format!("{name}{} {}\n", label_set(&g.labels, None), g.value));
+        }
+        let names: Vec<&str> = self.histograms.iter().map(|h| h.name.as_str()).collect();
         for (i, h) in self.histograms.iter().enumerate() {
+            type_line(&mut out, &names, i, "histogram");
             let name = metric_name(&h.name);
-            if i == 0 || self.histograms[i - 1].name != h.name {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-            }
             let mut cumulative = 0u64;
-            for &(exponent, count) in &h.buckets {
+            for &(k, count) in &h.buckets {
                 cumulative += count;
-                let le = 2f64.powi(exponent as i32 + 1);
-                out.push_str(&format!(
-                    "{name}_bucket{} {cumulative}\n",
-                    labels_with_le(&h.labels, &le.to_string())
-                ));
+                let le = label_set(&h.labels, Some(&edge_label(k)));
+                out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
             }
+            let inf = label_set(&h.labels, Some("+Inf"));
+            let set = label_set(&h.labels, None);
             out.push_str(&format!(
-                "{name}_bucket{} {}\n",
-                labels_with_le(&h.labels, "+Inf"),
-                h.count
+                "{name}_bucket{inf} {}\n{name}_sum{set} {}\n{name}_count{set} {}\n",
+                h.count, h.sum, h.count
             ));
-            let set = label_set(&h.labels);
-            out.push_str(&format!("{name}_sum{set} {}\n{name}_count{set} {}\n", h.sum, h.count));
         }
         if !self.spans.is_empty() {
             out.push_str("# TYPE edm_span_activations counter\n");
@@ -457,15 +613,6 @@ impl TraceReport {
                 ));
             }
         }
-        out
-    }
-
-    /// Renders the registry snapshot in the OpenMetrics text
-    /// exposition format for scrape-based monitoring, ending with the
-    /// mandatory `# EOF` terminator. See
-    /// [`TraceReport::openmetrics_body`] for the family mapping.
-    pub fn to_openmetrics(&self) -> String {
-        let mut out = self.openmetrics_body();
         out.push_str("# EOF\n");
         out
     }
@@ -476,18 +623,291 @@ pub const fn compiled() -> bool {
     cfg!(feature = "trace")
 }
 
-// edm-allow-file(unordered-iteration): the registry maps are keyed by
-// probe name for O(1) hot-path updates and are only ever iterated by
-// snapshot(), which sorts every family by name before reporting.
+/// Width of every histogram's rolling window, in seconds.
+pub const WINDOW_SECS: u64 = 60;
+
+/// Lowest decilog bucket: `[10^-6, 10^-5.9)`, which also takes every
+/// smaller and every non-positive sample.
+const LOW_BUCKET: i64 = -60;
+
+/// Buckets per histogram: ten per decade from `10^-6` to `10^13` (the
+/// top bucket also takes everything larger).
+const BUCKETS: usize = 190;
+
+/// Bucket index `k = floor(10·log10 v)`, clamped to the stored range.
+fn bucket_of(v: f64) -> i64 {
+    if v > 0.0 {
+        ((v.log10() * 10.0).floor() as i64).clamp(LOW_BUCKET, LOW_BUCKET + BUCKETS as i64 - 1)
+    } else {
+        LOW_BUCKET
+    }
+}
+
+/// Upper edge of bucket `k`: `10^((k+1)/10)`.
+fn bucket_edge(k: i64) -> f64 {
+    10f64.powf((k + 1) as f64 / 10.0)
+}
+
+/// [`bucket_edge`] as an `le` label value, to five significant digits.
+fn edge_label(k: i64) -> String {
+    let decimals = (4 - (k + 1).div_euclid(10)).max(0) as usize;
+    format!("{:.*}", decimals, bucket_edge(k))
+}
+
+/// One second of a histogram's rolling window.
+struct Slot {
+    sec: u64,
+    counts: Box<[u32; BUCKETS]>,
+}
+
+/// A decilog histogram with its rolling window. The window holds only
+/// the seconds that saw samples, oldest first; a slot that has left the
+/// window is reused for the next second.
+struct Hist {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    buckets: [u64; BUCKETS],
+    window: VecDeque<Slot>,
+}
+
+impl Default for Hist {
+    fn default() -> Self {
+        Hist {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            buckets: [0; BUCKETS],
+            window: VecDeque::new(),
+        }
+    }
+}
+
+impl Hist {
+    /// Records `value` (non-finite samples are ignored) at second
+    /// `now_sec` of the owning registry's clock. A `now_sec` older than
+    /// the newest slot (a racing thread read the clock first) counts
+    /// toward the newest slot.
+    fn record(&mut self, value: f64, now_sec: u64) {
+        if !value.is_finite() {
+            return;
+        }
+        let i = (bucket_of(value) - LOW_BUCKET) as usize;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.buckets[i] += 1;
+        if self.window.back().is_none_or(|s| s.sec < now_sec) {
+            let mut spare = None;
+            while self.window.front().is_some_and(|s| now_sec.saturating_sub(s.sec) >= WINDOW_SECS)
+            {
+                spare = self.window.pop_front();
+            }
+            let slot = match spare {
+                Some(mut slot) => {
+                    slot.counts.fill(0);
+                    slot.sec = now_sec;
+                    slot
+                }
+                None => Slot { sec: now_sec, counts: Box::new([0; BUCKETS]) },
+            };
+            self.window.push_back(slot);
+        }
+        if let Some(slot) = self.window.back_mut() {
+            slot.counts[i] += 1;
+        }
+    }
+
+    /// Report row as of second `now_sec`.
+    fn stat(&self, name: &str, labels: &[(String, String)], now_sec: u64) -> HistogramStat {
+        fn sparse(counts: impl Iterator<Item = u64>) -> Vec<(i64, u64)> {
+            counts
+                .enumerate()
+                .filter(|&(_, c)| c > 0)
+                .map(|(i, c)| (i as i64 + LOW_BUCKET, c))
+                .collect()
+        }
+        let mut window = [0u64; BUCKETS];
+        for slot in self.window.iter().filter(|s| now_sec.saturating_sub(s.sec) < WINDOW_SECS) {
+            for (w, &c) in window.iter_mut().zip(slot.counts.iter()) {
+                *w += u64::from(c);
+            }
+        }
+        let empty = self.count == 0;
+        HistogramStat {
+            name: name.to_string(),
+            labels: labels.to_vec(),
+            count: self.count,
+            sum: self.sum,
+            min: if empty { 0.0 } else { self.min },
+            max: if empty { 0.0 } else { self.max },
+            buckets: sparse(self.buckets.iter().copied()),
+            window: sparse(window.into_iter()),
+        }
+    }
+}
+
+type Labels = Vec<(String, String)>;
+
+/// Series of one kind: probe name → its label sets, sorted, each with
+/// its cell. A hit is a hash of the name plus a binary search over the
+/// label sets — no allocation.
+type Series<C> = DbgMutex<HashMap<&'static str, Vec<(Labels, C)>>>;
+
+/// Call-site label sets up to this size are sorted on the stack.
+const STACK_LABELS: usize = 8;
+
+/// Orders a canonical (sorted) owned label set against a sorted
+/// borrowed one.
+fn cmp_labels(owned: &Labels, sorted: &[(&str, &str)]) -> std::cmp::Ordering {
+    owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).cmp(sorted.iter().copied())
+}
+
+/// Runs `f` on the cell for `name` + `labels` (created on first use)
+/// under the series lock. Label order is canonicalized, so call sites
+/// may list keys in any order.
+fn with_cell<C: Default, R>(
+    series: &Series<C>,
+    name: &'static str,
+    labels: &[(&str, &str)],
+    f: impl FnOnce(&mut C) -> R,
+) -> R {
+    let mut stack = [("", ""); STACK_LABELS];
+    let mut heap = Vec::new();
+    let sorted = match stack.get_mut(..labels.len()) {
+        Some(s) => {
+            s.copy_from_slice(labels);
+            s
+        }
+        None => {
+            heap.extend_from_slice(labels);
+            &mut heap[..]
+        }
+    };
+    sorted.sort_unstable();
+    let mut map = series.lock().expect("trace registry poisoned");
+    let sets = map.entry(name).or_default();
+    let i = match sets.binary_search_by(|(owned, _)| cmp_labels(owned, sorted)) {
+        Ok(i) => i,
+        Err(i) => {
+            let owned = sorted.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+            sets.insert(i, (owned, C::default()));
+            i
+        }
+    };
+    f(&mut sets[i].1)
+}
+
+/// One row per series, in arbitrary order.
+fn rows<C, R>(series: &Series<C>, row: impl Fn(&'static str, &Labels, &C) -> R) -> Vec<R> {
+    let map = series.lock().expect("trace registry poisoned");
+    let row = &row;
+    map.iter()
+        .flat_map(|(&name, sets)| sets.iter().map(move |(labels, c)| row(name, labels, c)))
+        .collect()
+}
+
+/// A registry of labeled counters, max gauges and decilog histograms
+/// (see the [crate docs](crate#one-registry-type-two-kinds-of-instance)).
+///
+/// Its methods record unconditionally: level gating belongs to the
+/// global instance behind the free-function probes.
+pub struct Registry {
+    /// Anchor of the histogram windows' clock (and, for the global
+    /// instance, of timeline timestamps).
+    epoch: Instant,
+    /// Shared with [`CounterHandle`]s, which add without the lock.
+    counters: Series<Arc<AtomicU64>>,
+    gauges: Series<u64>,
+    hists: Series<Hist>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Registry {
+    /// An empty registry; its window clock starts now.
+    pub fn new() -> Self {
+        Registry {
+            epoch: Instant::now(),
+            counters: DbgMutex::new("trace.registry.counters", HashMap::new()),
+            gauges: DbgMutex::new("trace.registry.gauges", HashMap::new()),
+            hists: DbgMutex::new("trace.registry.hists", HashMap::new()),
+        }
+    }
+
+    /// Adds `delta` to counter `name` under `labels` (may be empty).
+    pub fn counter_add(&self, name: &'static str, labels: &[(&str, &str)], delta: u64) {
+        with_cell(&self.counters, name, labels, |c| c.fetch_add(delta, Ordering::Relaxed));
+    }
+
+    /// Raises gauge `name` under `labels` to `value` if it is larger.
+    pub fn gauge_max(&self, name: &'static str, labels: &[(&str, &str)], value: u64) {
+        with_cell(&self.gauges, name, labels, |g| *g = (*g).max(value));
+    }
+
+    /// Records `value` into histogram `name` under `labels`.
+    pub fn record(&self, name: &'static str, labels: &[(&str, &str)], value: f64) {
+        let now_sec = self.epoch.elapsed().as_secs();
+        with_cell(&self.hists, name, labels, |h| h.record(value, now_sec));
+    }
+
+    /// Snapshots the counters, gauges and histograms into a sorted
+    /// report (`level` is the global level). Histograms that never
+    /// recorded a sample are skipped; zero counters are kept.
+    pub fn collect(&self) -> TraceReport {
+        let now_sec = self.epoch.elapsed().as_secs();
+        let mut report = TraceReport::empty();
+        report.level = level().as_str().to_string();
+        report.counters = rows(&self.counters, |name, labels, c| CounterStat {
+            name: name.to_string(),
+            labels: labels.clone(),
+            value: c.load(Ordering::Relaxed),
+        });
+        report.gauges = rows(&self.gauges, |name, labels, g| GaugeStat {
+            name: name.to_string(),
+            labels: labels.clone(),
+            value: *g as f64,
+        });
+        report.histograms = rows(&self.hists, |name, labels, h| h.stat(name, labels, now_sec));
+        report.histograms.retain(|h| h.count > 0);
+        report.sort();
+        report
+    }
+
+    /// Drops every series, except that counters still referenced by a
+    /// probe handle are zeroed in place (dropping them would silently
+    /// detach the handle from future reports).
+    #[cfg(feature = "trace")]
+    fn clear(&self) {
+        {
+            let mut counters = self.counters.lock().expect("trace registry poisoned");
+            for sets in counters.values_mut() {
+                sets.retain(|(_, c)| {
+                    c.store(0, Ordering::Relaxed);
+                    Arc::strong_count(c) > 1
+                });
+            }
+            counters.retain(|_, sets| !sets.is_empty());
+        }
+        self.gauges.lock().expect("trace registry poisoned").clear();
+        self.hists.lock().expect("trace registry poisoned").clear();
+    }
+}
+
 #[cfg(feature = "trace")]
 mod imp {
     use super::*;
-    use edm_sync::{DbgMutex, SyncEvent};
+    use edm_sync::SyncEvent;
     use std::cell::RefCell;
-    use std::collections::{HashMap, VecDeque};
-    use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, Once, OnceLock};
-    use std::time::Instant;
+    use std::sync::atomic::{AtomicU8, AtomicUsize};
+    use std::sync::{Mutex, Once, OnceLock};
 
     const UNINIT: u8 = u8::MAX;
     static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
@@ -594,46 +1014,6 @@ mod imp {
         max_ns: u64,
     }
 
-    struct Hist {
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-        buckets: [u64; 64],
-    }
-
-    impl Hist {
-        fn new() -> Self {
-            Hist {
-                count: 0,
-                sum: 0.0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                buckets: [0; 64],
-            }
-        }
-    }
-
-    /// Bucket index for value `v`: exponent `floor(log2 v)` clamped to
-    /// `[−32, 31]`, offset by 32. Non-positive and non-finite-negative
-    /// samples land in bucket 0.
-    fn bucket_index(v: f64) -> usize {
-        if v > 0.0 {
-            (v.log2().floor().clamp(-32.0, 31.0) as i64 + 32) as usize
-        } else {
-            0
-        }
-    }
-
-    /// Canonical label key: owned pairs sorted by key so call-site
-    /// argument order never splits a series.
-    fn canonical_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        let mut owned: Vec<(String, String)> =
-            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-        owned.sort();
-        owned
-    }
-
     #[derive(Clone, Copy)]
     struct RingEvent {
         ph: EventKind,
@@ -653,24 +1033,20 @@ mod imp {
         ring: Mutex<RingBuf>,
     }
 
-    type ProbeKey = (&'static str, Vec<(String, String)>);
-
-    // Registry cells are `Arc`'d so pre-resolved probe handles
-    // ([`counter_handle`] & co.) can update a series with one atomic or
-    // one short per-series lock instead of taking the global registry
-    // mutex (and re-hashing the name) on every hot-path event.
-    struct Registry {
-        epoch: Instant,
+    /// The process-global [`Registry`], plus what only it has: span
+    /// aggregates and the per-thread timeline rings. Span cells are
+    /// `Arc`'d so pre-resolved [`SpanHandle`]s update a series with one
+    /// short per-series lock instead of the map lock.
+    struct Global {
+        metrics: Registry,
         spans: DbgMutex<HashMap<String, Arc<Mutex<SpanAgg>>>>,
-        counters: DbgMutex<HashMap<ProbeKey, Arc<AtomicU64>>>,
-        hists: DbgMutex<HashMap<ProbeKey, Arc<Mutex<Hist>>>>,
         shards: DbgMutex<Vec<Arc<Shard>>>,
         next_tid: AtomicU64,
     }
 
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(|| {
+    fn global() -> &'static Global {
+        static GLOBAL: OnceLock<Global> = OnceLock::new();
+        GLOBAL.get_or_init(|| {
             // The debug sync layer's warnings become trace counters, so
             // held-too-long locks and order inversions show up in run
             // manifests and the `/metrics` exposition (the hook runs
@@ -680,19 +1056,17 @@ mod imp {
                 SyncEvent::HeldTooLong { .. } => counter_add("sync.lock.held_too_long", 1),
                 SyncEvent::OrderInversion { .. } => counter_add("sync.lock.order_warnings", 1),
             }));
-            Registry {
-                epoch: Instant::now(),
+            Global {
+                metrics: Registry::new(),
                 spans: DbgMutex::new("trace.registry.spans", HashMap::new()),
-                counters: DbgMutex::new("trace.registry.counters", HashMap::new()),
-                hists: DbgMutex::new("trace.registry.hists", HashMap::new()),
                 shards: DbgMutex::new("trace.registry.shards", Vec::new()),
                 next_tid: AtomicU64::new(0),
             }
         })
     }
 
-    fn now_ns(reg: &Registry) -> u64 {
-        reg.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    fn now_ns(g: &Global) -> u64 {
+        g.metrics.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
     thread_local! {
@@ -709,8 +1083,8 @@ mod imp {
             if let Some(shard) = slot.as_ref() {
                 return shard.clone();
             }
-            let reg = registry();
-            let tid = reg.next_tid.fetch_add(1, Ordering::Relaxed);
+            let g = global();
+            let tid = g.next_tid.fetch_add(1, Ordering::Relaxed);
             let label = PENDING_LABEL
                 .with(|p| p.borrow_mut().take())
                 .unwrap_or_else(|| format!("thread-{tid}"));
@@ -719,7 +1093,7 @@ mod imp {
                 label: Mutex::new(label),
                 ring: Mutex::new(RingBuf { buf: VecDeque::new(), dropped: 0 }),
             });
-            reg.shards.lock().expect("shard registry poisoned").push(shard.clone());
+            g.shards.lock().expect("shard registry poisoned").push(shard.clone());
             *slot = Some(shard.clone());
             shard
         })
@@ -778,7 +1152,7 @@ mod imp {
     }
 
     fn span_cell(path: String) -> Arc<Mutex<SpanAgg>> {
-        let mut spans = registry().spans.lock().expect("span registry poisoned");
+        let mut spans = global().spans.lock().expect("span registry poisoned");
         Arc::clone(spans.entry(path).or_default())
     }
 
@@ -792,7 +1166,7 @@ mod imp {
             });
             span_agg_update(&span_cell(active.path), dur_ns);
             if full_enabled() {
-                push_event(EventKind::E, active.name, now_ns(registry()), 0.0);
+                push_event(EventKind::E, active.name, now_ns(global()), 0.0);
             }
         }
     }
@@ -809,7 +1183,7 @@ mod imp {
             (s.join("/"), s.len())
         });
         if full_enabled() {
-            push_event(EventKind::B, name, now_ns(registry()), 0.0);
+            push_event(EventKind::B, name, now_ns(global()), 0.0);
         }
         Span(Some(ActiveSpan { path, name, depth, start: Instant::now() }))
     }
@@ -821,14 +1195,11 @@ mod imp {
         if !enabled() {
             return;
         }
-        let reg = registry();
-        let cell = {
-            let mut counters = reg.counters.lock().expect("counter registry poisoned");
-            Arc::clone(counters.entry((name, Vec::new())).or_default())
-        };
-        let cumulative = cell.fetch_add(delta, Ordering::Relaxed) + delta;
+        let g = global();
+        let cumulative =
+            with_cell(&g.metrics.counters, name, &[], |c| c.fetch_add(delta, Ordering::Relaxed));
         if full_enabled() {
-            push_event(EventKind::C, name, now_ns(reg), cumulative as f64);
+            push_event(EventKind::C, name, now_ns(g), (cumulative + delta) as f64);
         }
     }
 
@@ -837,65 +1208,35 @@ mod imp {
     /// canonicalized, so call sites may list keys in any order.
     /// Labeled counters do not emit timeline events.
     pub fn counter_add_labeled(name: &'static str, labels: &[(&str, &str)], delta: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            global().metrics.counter_add(name, labels, delta);
         }
-        let key = canonical_labels(labels);
-        let cell = {
-            let mut counters = registry().counters.lock().expect("counter registry poisoned");
-            Arc::clone(counters.entry((name, key)).or_default())
-        };
-        cell.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Records `value` into histogram `name`. Off-level cost: one
     /// relaxed atomic load.
     pub fn record(name: &'static str, value: f64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            global().metrics.record(name, &[], value);
         }
-        record_inner(name, Vec::new(), value);
     }
 
     /// Records `value` into histogram `name` under the given label set.
     /// Label order is canonicalized, so call sites may list keys in any
     /// order.
     pub fn record_labeled(name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            global().metrics.record(name, labels, value);
         }
-        record_inner(name, canonical_labels(labels), value);
     }
 
     /// Records `value` into histogram `name` only at [`Level::Full`] —
     /// for high-frequency probes (per-iteration trajectories) too hot
     /// for `summary` runs.
     pub fn record_full(name: &'static str, value: f64) {
-        if !full_enabled() {
-            return;
+        if full_enabled() {
+            global().metrics.record(name, &[], value);
         }
-        record_inner(name, Vec::new(), value);
-    }
-
-    fn hist_update(cell: &Mutex<Hist>, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let mut h = cell.lock().expect("histogram series poisoned");
-        h.count += 1;
-        h.sum += value;
-        h.min = h.min.min(value);
-        h.max = h.max.max(value);
-        h.buckets[bucket_index(value)] += 1;
-    }
-
-    fn hist_cell(name: &'static str, labels: Vec<(String, String)>) -> Arc<Mutex<Hist>> {
-        let mut hists = registry().hists.lock().expect("histogram registry poisoned");
-        Arc::clone(hists.entry((name, labels)).or_insert_with(|| Arc::new(Mutex::new(Hist::new()))))
-    }
-
-    fn record_inner(name: &'static str, labels: Vec<(String, String)>, value: f64) {
-        hist_update(&hist_cell(name, labels), value);
     }
 
     /// Pre-resolved counter series: [`CounterHandle::add`] is one
@@ -920,30 +1261,7 @@ mod imp {
     /// Resolves a [`CounterHandle`] for `name` + `labels` (one registry
     /// lock, here, once).
     pub fn counter_handle(name: &'static str, labels: &[(&str, &str)]) -> CounterHandle {
-        let key = canonical_labels(labels);
-        let mut counters = registry().counters.lock().expect("counter registry poisoned");
-        CounterHandle(Arc::clone(counters.entry((name, key)).or_default()))
-    }
-
-    /// Pre-resolved histogram series: [`HistHandle::record`] takes one
-    /// short per-series lock — no registry lock, no label allocation.
-    #[derive(Clone)]
-    pub struct HistHandle(Arc<Mutex<Hist>>);
-
-    impl HistHandle {
-        /// Records `value` when tracing is enabled.
-        #[inline]
-        pub fn record(&self, value: f64) {
-            if enabled() {
-                hist_update(&self.0, value);
-            }
-        }
-    }
-
-    /// Resolves a [`HistHandle`] for `name` + `labels` (one registry
-    /// lock, here, once).
-    pub fn hist_handle(name: &'static str, labels: &[(&str, &str)]) -> HistHandle {
-        HistHandle(hist_cell(name, canonical_labels(labels)))
+        CounterHandle(with_cell(&global().metrics.counters, name, labels, |c| Arc::clone(c)))
     }
 
     /// Pre-resolved span series for a *top-level* hot-path span (the
@@ -969,7 +1287,7 @@ mod imp {
                 s.len()
             });
             if full_enabled() {
-                push_event(EventKind::B, self.name, now_ns(registry()), 0.0);
+                push_event(EventKind::B, self.name, now_ns(global()), 0.0);
             }
             HandleSpan(Some(ActiveHandleSpan {
                 agg: Arc::clone(&self.agg),
@@ -1005,44 +1323,25 @@ mod imp {
             });
             span_agg_update(&active.agg, dur_ns);
             if full_enabled() {
-                push_event(EventKind::E, active.name, now_ns(registry()), 0.0);
+                push_event(EventKind::E, active.name, now_ns(global()), 0.0);
             }
         }
     }
 
-    /// Clears all spans, counters, histograms, and timeline rings (the
-    /// level, ring capacity, and thread names are untouched). Harnesses
-    /// call this between measured sections.
+    /// Clears all spans, counters, gauges, histograms, and timeline
+    /// rings of the global registry (the level, ring capacity, and
+    /// thread names are untouched). Harnesses call this between
+    /// measured sections.
     pub fn reset() {
-        let reg = registry();
-        // Series with live probe handles are zeroed in place (dropping
-        // them would silently detach the handle from future reports);
-        // everything else is removed.
-        reg.spans.lock().expect("span registry poisoned").retain(|_, cell| {
-            if Arc::strong_count(cell) > 1 {
-                *cell.lock().expect("span series poisoned") = SpanAgg::default();
-                true
-            } else {
-                false
-            }
+        let g = global();
+        g.metrics.clear();
+        // Span series held by a handle are zeroed in place, like
+        // counters; everything else is removed.
+        g.spans.lock().expect("span registry poisoned").retain(|_, cell| {
+            *cell.lock().expect("span series poisoned") = SpanAgg::default();
+            Arc::strong_count(cell) > 1
         });
-        reg.counters.lock().expect("counter registry poisoned").retain(|_, cell| {
-            if Arc::strong_count(cell) > 1 {
-                cell.store(0, Ordering::Relaxed);
-                true
-            } else {
-                false
-            }
-        });
-        reg.hists.lock().expect("histogram registry poisoned").retain(|_, cell| {
-            if Arc::strong_count(cell) > 1 {
-                *cell.lock().expect("histogram series poisoned") = Hist::new();
-                true
-            } else {
-                false
-            }
-        });
-        let shards = reg.shards.lock().expect("shard registry poisoned");
+        let shards = g.shards.lock().expect("shard registry poisoned");
         for shard in shards.iter() {
             let mut ring = shard.ring.lock().expect("ring poisoned");
             ring.buf.clear();
@@ -1050,16 +1349,16 @@ mod imp {
         }
     }
 
-    /// Snapshots the registry into a sorted, serializable report. When
-    /// any timeline events were dropped, a synthetic
+    /// Snapshots the global registry into a sorted, serializable
+    /// report. When any timeline events were dropped, a synthetic
     /// `trace.ring.dropped` counter carries the total.
     pub fn collect() -> TraceReport {
-        let reg = registry();
-        // Span/histogram series that have never recorded an event are
-        // skipped: resolving a handle merely *wires* a series, it
-        // should not make an all-zero row appear in reports. (Counters
-        // keep zero rows — a zero cumulative counter is meaningful.)
-        let mut spans: Vec<SpanStat> = reg
+        let g = global();
+        let mut report = g.metrics.collect();
+        // Span series that never recorded are skipped: resolving a
+        // handle merely *wires* a series, it should not make an
+        // all-zero row appear in reports.
+        report.spans = g
             .spans
             .lock()
             .expect("span registry poisoned")
@@ -1076,89 +1375,35 @@ mod imp {
             })
             .filter(|s| s.count > 0)
             .collect();
-        spans.sort_by(|a, b| a.path.cmp(&b.path));
-        let mut counters: Vec<CounterStat> = reg
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
-            .iter()
-            .map(|((name, labels), cell)| CounterStat {
-                name: name.to_string(),
-                labels: labels.clone(),
-                value: cell.load(Ordering::Relaxed),
-            })
-            .collect();
-        let mut histograms: Vec<HistogramStat> = reg
-            .hists
-            .lock()
-            .expect("histogram registry poisoned")
-            .iter()
-            .map(|((name, labels), cell)| {
-                let h = cell.lock().expect("histogram series poisoned");
-                HistogramStat {
-                    name: name.to_string(),
-                    labels: labels.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    min: if h.count == 0 { 0.0 } else { h.min },
-                    max: if h.count == 0 { 0.0 } else { h.max },
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(i, &c)| (i as i64 - 32, c))
-                        .collect(),
-                }
-            })
-            .filter(|h| h.count > 0)
-            .collect();
-        histograms.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let (timeline, threads, dropped_events) = {
-            let mut shards: Vec<Arc<Shard>> =
-                reg.shards.lock().expect("shard registry poisoned").clone();
-            shards.sort_by_key(|s| s.tid);
-            let mut timeline = Vec::new();
-            let mut threads = Vec::new();
-            let mut dropped = 0u64;
-            for shard in &shards {
-                let ring = shard.ring.lock().expect("ring poisoned");
-                dropped += ring.dropped;
-                if ring.buf.is_empty() && ring.dropped == 0 {
-                    continue;
-                }
-                threads.push(ThreadInfo {
-                    tid: shard.tid,
-                    name: shard.label.lock().expect("shard label poisoned").clone(),
-                });
-                timeline.extend(ring.buf.iter().map(|e| TimelineEvent {
-                    tid: shard.tid,
-                    ph: e.ph,
-                    name: e.name.to_string(),
-                    ts_ns: e.ts_ns,
-                    value: e.value,
-                }));
+        let mut shards: Vec<Arc<Shard>> = g.shards.lock().expect("shard registry poisoned").clone();
+        shards.sort_by_key(|s| s.tid);
+        for shard in &shards {
+            let ring = shard.ring.lock().expect("ring poisoned");
+            report.dropped_events += ring.dropped;
+            if ring.buf.is_empty() && ring.dropped == 0 {
+                continue;
             }
-            (timeline, threads, dropped)
-        };
-        if dropped_events > 0 {
-            counters.push(CounterStat {
+            report.threads.push(ThreadInfo {
+                tid: shard.tid,
+                name: shard.label.lock().expect("shard label poisoned").clone(),
+            });
+            report.timeline.extend(ring.buf.iter().map(|e| TimelineEvent {
+                tid: shard.tid,
+                ph: e.ph,
+                name: e.name.to_string(),
+                ts_ns: e.ts_ns,
+                value: e.value,
+            }));
+        }
+        if report.dropped_events > 0 {
+            report.counters.push(CounterStat {
                 name: "trace.ring.dropped".to_string(),
                 labels: Vec::new(),
-                value: dropped_events,
+                value: report.dropped_events,
             });
         }
-        counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        TraceReport {
-            level: level().as_str().to_string(),
-            compiled: true,
-            spans,
-            counters,
-            histograms,
-            timeline,
-            threads,
-            dropped_events,
-        }
+        report.sort();
+        report
     }
 }
 
@@ -1237,22 +1482,6 @@ mod imp {
         CounterHandle(())
     }
 
-    /// Compiled-out histogram handle: a zero-sized no-op.
-    #[derive(Clone)]
-    pub struct HistHandle(());
-
-    impl HistHandle {
-        /// No-op (probes compiled out).
-        #[inline(always)]
-        pub fn record(&self, _value: f64) {}
-    }
-
-    /// No-op handle (probes compiled out).
-    #[inline(always)]
-    pub fn hist_handle(_name: &'static str, _labels: &[(&str, &str)]) -> HistHandle {
-        HistHandle(())
-    }
-
     /// Compiled-out span handle: a zero-sized no-op.
     #[derive(Clone)]
     pub struct SpanHandle(());
@@ -1301,9 +1530,8 @@ mod imp {
 
 pub use imp::{
     collect, counter_add, counter_add_labeled, counter_handle, enabled, event_capacity,
-    full_enabled, hist_handle, init_from_env_or, level, name_thread, record, record_full,
-    record_labeled, reset, set_event_capacity, set_level, span, span_handle, CounterHandle,
-    HandleSpan, HistHandle, Span, SpanHandle,
+    full_enabled, init_from_env_or, level, name_thread, record, record_full, record_labeled, reset,
+    set_event_capacity, set_level, span, span_handle, CounterHandle, HandleSpan, Span, SpanHandle,
 };
 
 #[cfg(test)]
@@ -1441,28 +1669,55 @@ mod openmetrics_tests {
         };
         r.counters = vec![
             CounterStat {
-                name: "serve.request.count".to_string(),
+                name: "serve.requests".to_string(),
                 labels: lbl("knn", "predict"),
                 value: 3,
             },
             CounterStat {
-                name: "serve.request.count".to_string(),
+                name: "serve.requests".to_string(),
                 labels: lbl("svc", "predict"),
                 value: 9,
             },
         ];
         assert_eq!(
             r.to_openmetrics(),
-            "# TYPE edm_serve_request_count counter\n\
-             edm_serve_request_count_total{endpoint=\"predict\",model=\"knn\"} 3\n\
-             edm_serve_request_count_total{endpoint=\"predict\",model=\"svc\"} 9\n\
+            "# TYPE edm_serve_requests counter\n\
+             edm_serve_requests_total{endpoint=\"predict\",model=\"knn\"} 3\n\
+             edm_serve_requests_total{endpoint=\"predict\",model=\"svc\"} 9\n\
              # EOF\n"
         );
     }
 
-    /// Power-of-two buckets become cumulative `le` buckets at the
-    /// bucket's upper bound `2^(e+1)`, closed by `+Inf`, `_sum`,
-    /// `_count`; probe labels precede `le`.
+    /// Gauges render one plain sample per label set, labels in the
+    /// row's own order.
+    #[test]
+    fn gauges_render_plain_samples() {
+        let mut r = TraceReport::empty();
+        r.gauges = vec![
+            GaugeStat { name: "serve.batch_rows_max".to_string(), labels: vec![], value: 48.0 },
+            GaugeStat {
+                name: "serve.latency_quantile_ms".to_string(),
+                labels: vec![
+                    ("model".to_string(), "svc".to_string()),
+                    ("window".to_string(), "60s".to_string()),
+                    ("quantile".to_string(), "0.5".to_string()),
+                ],
+                value: 1.25,
+            },
+        ];
+        assert_eq!(
+            r.to_openmetrics(),
+            "# TYPE edm_serve_batch_rows_max gauge\n\
+             edm_serve_batch_rows_max 48\n\
+             # TYPE edm_serve_latency_quantile_ms gauge\n\
+             edm_serve_latency_quantile_ms{model=\"svc\",window=\"60s\",quantile=\"0.5\"} 1.25\n\
+             # EOF\n"
+        );
+    }
+
+    /// Decilog buckets become cumulative `le` buckets at the bucket's
+    /// upper bound `10^((k+1)/10)` (five significant digits), closed by
+    /// `+Inf`, `_sum`, `_count`.
     #[test]
     fn histogram_buckets_are_cumulative_le() {
         let mut r = TraceReport::empty();
@@ -1470,20 +1725,21 @@ mod openmetrics_tests {
             name: "t.hist".to_string(),
             labels: vec![],
             count: 4,
-            sum: 1035.0,
+            sum: 1031.25,
             min: 0.25,
             max: 1024.0,
-            // [2^-3, 2^-2): 1 sample; [2^1, 2^2): 2; [2^10, 2^11): 1
-            buckets: vec![(-3, 1), (1, 2), (10, 1)],
+            // 0.25 -> k = -7; 3.5 (twice) -> k = 5; 1024 -> k = 30.
+            buckets: vec![(-7, 1), (5, 2), (30, 1)],
+            window: vec![],
         }];
         assert_eq!(
             r.to_openmetrics(),
             "# TYPE edm_t_hist histogram\n\
-             edm_t_hist_bucket{le=\"0.25\"} 1\n\
-             edm_t_hist_bucket{le=\"4\"} 3\n\
-             edm_t_hist_bucket{le=\"2048\"} 4\n\
+             edm_t_hist_bucket{le=\"0.25119\"} 1\n\
+             edm_t_hist_bucket{le=\"3.9811\"} 3\n\
+             edm_t_hist_bucket{le=\"1258.9\"} 4\n\
              edm_t_hist_bucket{le=\"+Inf\"} 4\n\
-             edm_t_hist_sum 1035\n\
+             edm_t_hist_sum 1031.25\n\
              edm_t_hist_count 4\n\
              # EOF\n"
         );
@@ -1495,22 +1751,24 @@ mod openmetrics_tests {
     fn labeled_histograms_interleave_le() {
         let mut r = TraceReport::empty();
         r.histograms = vec![HistogramStat {
-            name: "serve.request.handle_ns".to_string(),
+            name: "serve.request_latency_ns".to_string(),
             labels: vec![("model".to_string(), "svc".to_string())],
             count: 2,
             sum: 6.0,
             min: 2.0,
             max: 4.0,
-            buckets: vec![(1, 1), (2, 1)],
+            // 2 -> k = 3; 4 -> k = 6.
+            buckets: vec![(3, 1), (6, 1)],
+            window: vec![(6, 1)],
         }];
         assert_eq!(
             r.to_openmetrics(),
-            "# TYPE edm_serve_request_handle_ns histogram\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"4\"} 1\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"8\"} 2\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"+Inf\"} 2\n\
-             edm_serve_request_handle_ns_sum{model=\"svc\"} 6\n\
-             edm_serve_request_handle_ns_count{model=\"svc\"} 2\n\
+            "# TYPE edm_serve_request_latency_ns histogram\n\
+             edm_serve_request_latency_ns_bucket{model=\"svc\",le=\"2.5119\"} 1\n\
+             edm_serve_request_latency_ns_bucket{model=\"svc\",le=\"5.0119\"} 2\n\
+             edm_serve_request_latency_ns_bucket{model=\"svc\",le=\"+Inf\"} 2\n\
+             edm_serve_request_latency_ns_sum{model=\"svc\"} 6\n\
+             edm_serve_request_latency_ns_count{model=\"svc\"} 2\n\
              # EOF\n"
         );
     }
@@ -1542,21 +1800,181 @@ mod openmetrics_tests {
         );
     }
 
-    /// The body form omits `# EOF` so callers can append their own
-    /// families; the terminating form is body + `# EOF`.
+    /// Merged reports render as one exposition: one `# TYPE` per
+    /// family, rows back in sorted order.
     #[test]
-    fn body_composes_with_eof() {
+    fn merged_reports_render_one_type_line_per_family() {
+        let row = |model: &str, value| CounterStat {
+            name: "a.b".to_string(),
+            labels: vec![("model".to_string(), model.to_string())],
+            value,
+        };
         let mut r = TraceReport::empty();
-        r.counters = vec![CounterStat { name: "a.b".to_string(), labels: vec![], value: 1 }];
-        let body = r.openmetrics_body();
-        assert!(!body.contains("# EOF"));
-        assert_eq!(r.to_openmetrics(), format!("{body}# EOF\n"));
+        r.counters = vec![row("y", 2)];
+        let mut other = TraceReport::empty();
+        other.counters = vec![row("x", 1)];
+        r.merge(other);
+        assert_eq!(
+            r.to_openmetrics(),
+            "# TYPE edm_a_b counter\n\
+             edm_a_b_total{model=\"x\"} 1\n\
+             edm_a_b_total{model=\"y\"} 2\n\
+             # EOF\n"
+        );
     }
 
     /// An empty report is just the terminator.
     #[test]
     fn empty_report_is_only_eof() {
         assert_eq!(TraceReport::empty().to_openmetrics(), "# EOF\n");
+    }
+}
+
+#[cfg(test)]
+mod registry_tests {
+    use super::*;
+
+    #[test]
+    fn decilog_buckets_bracket_their_samples() {
+        // 1000: log10 = 3.0 exactly -> bucket 30, upper edge 10^3.1.
+        assert_eq!(bucket_of(1000.0), 30);
+        assert!(bucket_edge(30) > 1000.0 && bucket_edge(30) < 1300.0);
+        assert_eq!(bucket_of(1.0), 0);
+        assert_eq!(bucket_of(0.0), LOW_BUCKET);
+        assert_eq!(bucket_of(-3.0), LOW_BUCKET);
+        assert_eq!(bucket_of(u64::MAX as f64), LOW_BUCKET + BUCKETS as i64 - 1);
+        for v in [2e-6, 0.25, 1.5, 3.5, 999.0, 1234.5, 7.7e8, 4.2e12] {
+            let k = bucket_of(v);
+            assert!(bucket_edge(k - 1) <= v && v < bucket_edge(k), "{v} outside bucket {k}");
+            assert!(bucket_edge(k) <= v * 1.26, "bucket {k} wider than one decilog step");
+        }
+    }
+
+    #[test]
+    fn quantiles_are_within_one_bucket_of_truth() {
+        let mut h = Hist::default();
+        for ns in [100.0, 200.0, 300.0, 400.0, 1e6] {
+            h.record(ns, 0);
+        }
+        let s = h.stat("t", &[], 0);
+        let p50 = s.quantile(0.5).expect("non-empty");
+        // True median 300; the estimate is its bucket's upper edge.
+        assert!((300.0..=300.0 * 1.26).contains(&p50), "p50 = {p50}");
+        let p99 = s.quantile(0.99).expect("non-empty");
+        assert!((1e6..=1e6 * 1.26).contains(&p99), "p99 = {p99}");
+        assert_eq!(Hist::default().stat("t", &[], 0).quantile(0.5), None);
+    }
+
+    #[test]
+    fn window_slots_expire_older_seconds() {
+        let mut h = Hist::default();
+        h.record(1000.0, 10);
+        h.record(1000.0, 30);
+        // At second 30 both are inside the 60 s window...
+        assert_eq!(h.stat("t", &[], 30).window_count(), 2);
+        // ...at second 80 only the second-30 slot remains...
+        assert_eq!(h.stat("t", &[], 80).window_count(), 1);
+        // ...and at second 100 the window is empty, lifetime is not.
+        let late = h.stat("t", &[], 100);
+        assert_eq!((late.window_count(), late.count), (0, 2));
+        assert_eq!(late.window_quantile(0.5), None);
+        // The second-10 slot has left the window by second 70, so its
+        // storage is reused for second 70.
+        h.record(1000.0, 10 + WINDOW_SECS);
+        assert_eq!(h.window.len(), 2, "slot 10 reused, not kept beside a new one");
+        assert_eq!(h.stat("t", &[], 10 + WINDOW_SECS).window_count(), 2);
+    }
+
+    #[test]
+    fn registry_records_lifetime_and_window() {
+        let m = Registry::new();
+        m.record("t.latency_ns", &[("endpoint", "predict"), ("model", "svc")], 1_000_000.0);
+        m.record("t.latency_ns", &[("model", "svc"), ("endpoint", "predict")], 2_000_000.0);
+        m.record("t.latency_ns", &[("endpoint", "predict"), ("model", "svc")], 500_000.0);
+        m.record("t.latency_ns", &[("endpoint", "predict"), ("model", "svc")], f64::NAN);
+        let r = m.collect();
+        assert_eq!(r.histograms.len(), 1, "label order never splits a series");
+        let h = &r.histograms[0];
+        assert_eq!(h.count, 3, "non-finite samples are ignored");
+        let p50 = h.quantile(0.5).expect("non-empty");
+        assert!((1e6..=1.26e6).contains(&p50), "p50 = {p50}");
+        // Recorded this second, so the window holds everything.
+        assert_eq!(h.window_count(), 3);
+        assert_eq!(h.window, h.buckets);
+    }
+
+    #[test]
+    fn many_label_sets_each_keep_their_own_series() {
+        let m = Registry::new();
+        // Models arrive out of order and with keys in either order, so
+        // lookups and inserts land all over the sorted label sets.
+        let models: Vec<String> = (0..300).map(|i| format!("m{}", (i * 7919) % 300)).collect();
+        for (i, model) in models.iter().enumerate() {
+            for _ in 0..=i % 3 {
+                if i % 2 == 0 {
+                    m.counter_add("t.req", &[("model", model), ("endpoint", "predict")], 1);
+                } else {
+                    m.counter_add("t.req", &[("endpoint", "predict"), ("model", model)], 1);
+                }
+            }
+        }
+        // More labels than fit the stack buffer take the heap path.
+        let wide: Vec<(String, String)> =
+            (0..STACK_LABELS + 2).rev().map(|k| (format!("k{k:02}"), k.to_string())).collect();
+        let wide: Vec<(&str, &str)> = wide.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        m.counter_add("t.req", &wide, 5);
+        m.counter_add("t.req", &wide, 5);
+        let r = m.collect();
+        assert_eq!(r.counters.len(), 301);
+        for (i, model) in models.iter().enumerate() {
+            let row = r
+                .counters
+                .iter()
+                .find(|c| c.labels.iter().any(|(k, v)| k == "model" && v == model))
+                .expect("series present");
+            assert_eq!(row.value, (i % 3 + 1) as u64, "model {model}");
+        }
+        let wide_row = r.counters.iter().find(|c| c.labels.len() == STACK_LABELS + 2);
+        assert_eq!(wide_row.map(|c| c.value), Some(10));
+        assert!(wide_row.is_some_and(|c| c.labels.is_sorted()), "labels stored canonically");
+    }
+
+    #[test]
+    fn counters_and_gauges_record_at_every_level() {
+        let m = Registry::new();
+        m.counter_add("t.count", &[("tier", "bulk"), ("model", "svc")], 1);
+        m.counter_add("t.count", &[("model", "svc"), ("tier", "bulk")], 1);
+        m.counter_add("t.zero", &[], 0);
+        m.gauge_max("t.max", &[], 16);
+        m.gauge_max("t.max", &[], 48);
+        m.gauge_max("t.max", &[], 8);
+        let r = m.collect();
+        assert_eq!(r.counters.len(), 2);
+        assert_eq!(r.counter("t.count"), 2);
+        assert_eq!(
+            r.counters[0].labels,
+            vec![
+                ("model".to_string(), "svc".to_string()),
+                ("tier".to_string(), "bulk".to_string())
+            ]
+        );
+        assert_eq!(r.counters[1].name, "t.zero", "zero counters are reported");
+        assert_eq!(r.gauges.len(), 1);
+        assert_eq!(r.gauges[0].value, 48.0);
+    }
+
+    #[test]
+    fn histogram_merge_adds_buckets_and_windows() {
+        let m = Registry::new();
+        m.record("t.h", &[("status", "200")], 100.0);
+        m.record("t.h", &[("status", "200")], 1000.0);
+        m.record("t.h", &[("status", "503")], 1000.0);
+        let r = m.collect();
+        let mut merged = r.histograms[0].clone();
+        merged.merge(&r.histograms[1]);
+        assert_eq!((merged.count, merged.sum, merged.min, merged.max), (3, 2100.0, 100.0, 1000.0));
+        assert_eq!(merged.buckets, vec![(20, 1), (30, 2)]);
+        assert_eq!(merged.window_count(), 3);
     }
 }
 
@@ -1593,8 +2011,8 @@ mod tests {
                 counter_add("t.count", 3);
                 counter_add_labeled("t.labeled", &[("model", "svc"), ("endpoint", "p")], 4);
                 counter_add_labeled("t.labeled", &[("endpoint", "p"), ("model", "svc")], 1);
-                record("t.hist", 3.5); // exponent 1
-                record("t.hist", 1024.0); // exponent 10
+                record("t.hist", 3.5); // bucket 5
+                record("t.hist", 1024.0); // bucket 30
                 record_labeled("t.lhist", &[("model", "svc")], 2.0);
                 record_full("t.hot", 1.0); // full-only: must not record
             }
@@ -1627,40 +2045,35 @@ mod tests {
         assert_eq!(h.sum, 1027.5);
         assert_eq!(h.min, 3.5);
         assert_eq!(h.max, 1024.0);
-        assert_eq!(h.buckets, vec![(1, 1), (10, 1)]);
+        assert_eq!(h.buckets, vec![(5, 1), (30, 1)]);
         assert!(r.histograms.iter().all(|h| h.name != "t.hot"), "record_full off at summary");
         assert!(r.timeline.is_empty(), "no timeline events at summary level");
 
         // Pre-resolved handles: same series as the by-name calls, and
-        // an unused handle never surfaces an all-zero span/histogram.
+        // an unused span handle never surfaces an all-zero span.
         let hc = counter_handle("t.count", &[]);
         hc.add(10);
         let hl = counter_handle("t.labeled", &[("endpoint", "p"), ("model", "svc")]);
         hl.add(5);
-        let hh = hist_handle("t.hist", &[]);
-        hh.record(3.5);
         let hs = span_handle("h.span");
         drop(hs.start());
-        let idle_hist = hist_handle("h.idle", &[]);
         let idle_span = span_handle("h.idle.span");
         let r = collect();
         assert_eq!(r.counter("t.count"), 15, "handle adds join the by-name series");
         let labeled = r.counters.iter().find(|c| c.name == "t.labeled").expect("labeled counter");
         assert_eq!(labeled.value, 10, "labeled handle joins the canonicalized series");
-        assert_eq!(r.histograms.iter().find(|h| h.name == "t.hist").map(|h| h.count), Some(3));
         assert_eq!(r.span_count("h.span"), 1);
-        assert!(r.histograms.iter().all(|h| h.name != "h.idle"), "idle hist handle hidden");
         assert!(r.spans.iter().all(|s| s.path != "h.idle.span"), "idle span handle hidden");
         // Reset keeps handle-held series wired (zeroed, not detached).
         reset();
         hc.add(2);
-        hh.record(1.0);
+        record("t.hist", 1.0);
         let r = collect();
         assert_eq!(r.counter("t.count"), 2, "post-reset handle still reports");
         assert_eq!(r.histograms.iter().find(|h| h.name == "t.hist").map(|h| h.count), Some(1));
         assert!(r.spans.is_empty(), "unreferenced span series dropped by reset");
         // Dropped handles release their series for the next reset.
-        drop((hc, hl, hh, hs, idle_hist, idle_span));
+        drop((hc, hl, hs, idle_span));
 
         // Full: timeline events appear; record_full records.
         set_level(Level::Full);
